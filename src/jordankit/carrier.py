@@ -98,13 +98,6 @@ class FiniteCarrier:
 
     # -- derived views -----------------------------------------------------
 
-    def mul_rows(self) -> list[list[int]]:
-        """Product table as plain int lists (fast inner loops in searches)."""
-        return self.mul.tolist()
-
-    def add_rows(self) -> list[list[int]]:
-        return self.add.tolist()
-
     def apply_matrix(self, matrix) -> np.ndarray:
         """Index image of a linear map given by an exact d x d matrix."""
         m = np.array([[int(c) for c in row] for row in matrix], dtype=np.int64)

@@ -71,3 +71,11 @@ class PreconditionViolated(JordankitError):
 
 class FormatError(JordankitError):
     """A text input (scalar, algebra file, map file) is malformed."""
+
+
+class ZeroDenominator(FormatError, ZeroDivisionError):
+    """A rational scalar's text has a zero denominator.
+
+    Also a ZeroDivisionError, so callers that catch the arithmetic error
+    keep working.
+    """

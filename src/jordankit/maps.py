@@ -76,9 +76,37 @@ class FunctionTable:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-        self._table = None if table is None else np.asarray(table, dtype=np.int64)
+        self._table = None if table is None else self._checked_table(table)
         if self._table is not None and matrix is not None:
             self._check_hint_consistency()
+
+    def _checked_table(self, table) -> np.ndarray:
+        """The table as an index array, checked against both carrier sizes."""
+        p = self.domain.field.characteristic
+        q = self.codomain.field.characteristic
+        if p == 0 or q == 0:
+            raise CarrierInfinite(
+                "a function table needs finite carriers; use a matrix over the rationals"
+            )
+        dom_size, cod_size = p**self.domain.dim, q**self.codomain.dim
+        try:
+            arr = np.asarray(table)
+        except ValueError as exc:  # ragged nesting
+            raise FormatError(f"a function table holds integer indices: {exc}") from exc
+        if arr.dtype.kind not in "iu":
+            raise FormatError(f"function table entries must be integers, not {arr.dtype}")
+        arr = arr.astype(np.int64, copy=False)
+        if arr.shape != (dom_size,):
+            raise FormatError(
+                f"function table has shape {arr.shape}, the domain carrier has {dom_size} elements"
+            )
+        bad = (arr < 0) | (arr >= cod_size)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FormatError(
+                f"function table entry {i} is {int(arr[i])}, outside [0, {cod_size})"
+            )
+        return arr
 
     # -- construction ------------------------------------------------------
 
@@ -689,11 +717,17 @@ def map_table_from_dict(
         ccar = carrier_of(cod, cap)
         table = np.full(dcar.size, -1, dtype=np.int64)
         for entry in data["entries"]:
-            x = dom.parse_element(entry["in"])
-            y = cod.parse_element(entry["out"])
+            try:
+                x_text, y_text = entry["in"], entry["out"]
+            except (TypeError, KeyError) as exc:
+                raise FormatError(f"map entry {entry!r} needs 'in' and 'out'") from exc
+            if not (isinstance(x_text, str) and isinstance(y_text, str)):
+                raise FormatError(f"map entry {entry!r}: 'in' and 'out' must be strings")
+            x = dom.parse_element(x_text)
+            y = cod.parse_element(y_text)
             i = dcar.index_of(x)
             if table[i] != -1:
-                raise FormatError(f"duplicate map entry for {entry['in']!r}")
+                raise FormatError(f"duplicate map entry for {x_text!r}")
             table[i] = ccar.index_of(y)
         if (table == -1).any():
             missing = dcar.element_at(int(np.argmax(table == -1)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import FormatError, NonPrimeModulus
+from .errors import FormatError, NonPrimeModulus, ZeroDenominator
 
 MAX_PRIME = 2**31
 
@@ -129,7 +129,10 @@ class RationalField(Field):
         text = text.strip()
         if not _RATIONAL_RE.match(text):
             raise FormatError(f"not a rational scalar: {text!r}")
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError as exc:
+            raise ZeroDenominator(f"zero denominator in rational scalar {text!r}") from exc
 
     def format(self, a) -> str:
         return str(a)

@@ -1,12 +1,24 @@
 """Exhaustive enumeration of multiplicative bijections and derivations.
 
-Both searches assign images to carrier elements in lexicographic order
-with eager constraint propagation: whenever every leaf of a canonical
-monomial instance is assigned, the image of its value is forced, and a
-clash (or a collision with injectivity, for bijections) prunes the
-branch. Emitted tables are re-verified by the maps-module predicates
-before they are yielded, so the stream is sound independently of the
-pruning logic.
+Both searches assign images to carrier elements in lexicographic order,
+depth first, and close every assignment under the constraints of the
+canonical monomial x1(x2(...(x_{n-1} x_n))). The closure works on pairs
+(t, s): a level-k pair says that a level-k monomial over assigned
+elements has value t and that the map must send t to s. Level 1 holds
+the base pairs (x, img x); a level-(k+1) pair is a step of an assigned x
+onto a level-k pair; a level-n pair forces img[t] = s.
+
+The closure is semi-naive and runs in rounds over whole frontiers. Each
+round commits the forced images found so far, then gathers, level by
+level, only the products that involve something new: (new x) x (old
+level-k pairs) and (all x) x (new level-k pairs). A round fails when a
+forced image clashes with an assigned one, when one element is forced
+to two images, or, for bijections, when an image is taken twice. The
+closure is a least fixpoint and a conflict is a property of the closed
+set, so neither depends on the order of computation.
+
+Emitted tables are re-verified by the maps-module predicates before they
+are yielded, so the stream is sound independently of the pruning logic.
 """
 
 from __future__ import annotations
@@ -40,8 +52,18 @@ class SearchBudget:
             raise ValueError(f"max_witnesses must be >= 0, got {self.max_witnesses}")
 
 
+# Elements per gather in one propagation step. Bounds peak memory where many
+# new elements meet many level-k pairs (n >= 3 on large carriers).
+_GATHER_CHUNK = 1 << 18
+
+
+def _gather(table: np.ndarray, rows, cols) -> np.ndarray:
+    """table[rows, cols] for broadcasting index arrays, as one flat take."""
+    return table.take(rows * table.shape[1] + cols)
+
+
 class _TableSearch:
-    """Shared DFS engine; subclasses fix the pair extension and forcing."""
+    """Shared DFS engine; subclasses fix the forcing step and the output."""
 
     bijective = False
 
@@ -63,21 +85,21 @@ class _TableSearch:
         self.dom = dom
         self.cod = cod
         self.size = dom.size
-        self.mul = dom.mul_rows()
-        self.cod_mul = cod.mul_rows()
-        self.cod_add = cod.add_rows()
         self.np_mul = dom.mul
         self.np_cod_mul = cod.mul
         self.np_cod_add = cod.add
         self._arange = np.arange(cod.size, dtype=np.int64)
-        # search state
-        self.img = [-1] * self.size
-        self.np_img = np.full(self.size, -1, dtype=np.int64)
-        self.used = np.zeros(self.cod.size, dtype=bool)
-        self.assigned: list[int] = []
-        self.levels = {k: [] for k in range(2, n)}
-        self.level_seen = {k: set() for k in range(2, n)}
-        self.trail: list[tuple] = []
+        # search state: pairs[i][:, :counts[i]] holds the level-(i + 1)
+        # pairs (t, s); level 1 is the assignment itself, in commit order.
+        # seen[i] marks the pairs of pairs[i] by code t * cod.size + s.
+        pair_cap = dom.size * cod.size
+        self.img = np.full(self.size, -1, dtype=np.int64)
+        self.used = np.zeros(cod.size, dtype=bool)
+        self.pairs = [np.empty((2, self.size), dtype=np.int64)]
+        self.pairs += [np.empty((2, pair_cap), dtype=np.int64) for _ in range(2, n)]
+        self.counts = [0] * (n - 1)
+        self.seen = [None] + [np.zeros(pair_cap, dtype=bool) for _ in range(2, n)]
+        self.trail: list[list[int]] = []  # counts before each round
         self.domains: dict[int, list[int]] = {}
         # run record
         self.nodes = 0
@@ -88,30 +110,11 @@ class _TableSearch:
 
     # -- subclass hooks ----------------------------------------------------
 
-    def _extend(self, x: int, pair: tuple[int, int]) -> tuple[int, int]:
-        raise NotImplementedError
+    def _step(self, xs, vs, ts, ss):
+        """(mul[xs, ts], forced image of xs * ts) for img xs = vs, img ts = ss.
 
-    def _base_pair(self, x: int) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def _self_targets(self, x: int) -> np.ndarray:
-        """Forced image of x*x as a vector over candidate images v of x."""
-        raise NotImplementedError
-
-    def _targets_xy(self, x: int, ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Forced images of x*y, shape (cod_size, len(ys)), over candidates v."""
-        raise NotImplementedError
-
-    def _targets_yx(self, x: int, ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Forced images of y*x, shape (len(ys), cod_size), over candidates v."""
-        raise NotImplementedError
-
-    def _forced_xy(self, x: int, v: int, ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Forced images of x*y for a committed v, shape (len(ys),)."""
-        raise NotImplementedError
-
-    def _forced_yx(self, x: int, v: int, ys: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        """Forced images of y*x for a committed v, shape (len(ys),)."""
+        Arguments broadcast against each other like numpy index arrays.
+        """
         raise NotImplementedError
 
     def _emit(self):
@@ -122,111 +125,114 @@ class _TableSearch:
 
     # -- propagation ------------------------------------------------------
 
-    def _force(self, t: int, s: int, queue) -> bool:
-        cur = self.img[t]
-        if cur != -1:
-            return cur == s
-        queue.append((t, s))
+    def _assign(self, x: int, v: int) -> bool:
+        """Set img[x] = v and close under forcing; False on a conflict.
+
+        The state changes stay on the trail either way; _undo reverts them.
+        """
+        xs = np.array([x], dtype=np.int64)
+        vs = np.array([v], dtype=np.int64)
+        while xs.size:
+            old = self.counts.copy()
+            self.trail.append(old)
+            if not self._commit(xs, vs):
+                return False
+            forced = self._propagate(old)
+            if forced is None:
+                return False
+            xs, vs = forced
         return True
 
-    def _add_pair(self, k: int, pair: tuple[int, int], queue) -> bool:
-        if k == self.n:
-            return self._force(pair[0], pair[1], queue)
-        if pair in self.level_seen[k]:
-            return True
-        self.level_seen[k].add(pair)
-        self.levels[k].append(pair)
-        self.trail.append(("p", k, pair))
-        for x in self.assigned:
-            if not self._add_pair(k + 1, self._extend(x, pair), queue):
-                return False
+    def _commit(self, xs: np.ndarray, vs: np.ndarray) -> bool:
+        """Assign a frontier of unassigned elements; False if it is inconsistent.
+
+        The frontier is committed before it is checked, so that _undo
+        reverts a failed commit like any other.
+        """
+        if self.bijective and self.used[vs].any():
+            return False  # an image already taken
+        self.img[xs] = vs
+        clash = False
+        if xs.size > 1:
+            clash = (self.img[xs] != vs).any()  # one element, two images
+            new = np.zeros(self.size, dtype=bool)
+            new[xs] = True
+            xs = np.flatnonzero(new)
+            vs = self.img[xs]
+        m = self.counts[0]
+        self.pairs[0][0, m:m + xs.size] = xs
+        self.pairs[0][1, m:m + xs.size] = vs
+        self.counts[0] = m + xs.size
+        if clash:
+            return False
+        if self.bijective:
+            self.used[vs] = True
+            if np.count_nonzero(self.used) < self.counts[0]:
+                return False  # an image taken twice within the frontier
         return True
 
-    def _assign(self, x0: int, v0: int) -> bool:
-        if self.n == 2:
-            return self._assign_pairwise(x0, v0)
-        return self._assign_levels(x0, v0)
+    def _propagate(self, old: list[int]):
+        """One semi-naive round after a commit; old holds the counts before it.
 
-    def _assign_pairwise(self, x0: int, v0: int) -> bool:
-        # n = 2: the only constraints are pair products; process them as
-        # whole-vector operations over the assigned prefix.
-        queue = [(x0, v0)]
-        while queue:
-            x, v = queue.pop()
-            cur = self.img[x]
-            if cur != -1:
-                if cur != v:
-                    return False
-                continue
-            if self.bijective and self.used[v]:
-                return False
-            self.img[x] = v
-            self.np_img[x] = v
-            self.used[v] = True
-            self.assigned.append(x)
-            self.trail.append(("a", x, v))
-            ys = np.array(self.assigned, dtype=np.int64)
-            ws = self.np_img[ys]
-            for zs, ts in (
-                (self.np_mul[x, ys], self._forced_xy(x, v, ys, ws)),
-                (self.np_mul[ys, x], self._forced_yx(x, v, ys, ws)),
+        Returns the forced images of unassigned elements as (xs, vs), or
+        None when a forced image clashes with an assigned one.
+        """
+        xs, vs = self.pairs[0][:, :self.counts[0]]
+        new_x = slice(old[0], None)
+        top = self.n - 2
+        forced_x, forced_v = [], []
+        for i in range(top + 1):  # pairs[i] -> pairs[i + 1], or forced at the top
+            pairs = self.pairs[i]
+            for ex, ev, ts, ss in (
+                (xs[new_x], vs[new_x], *pairs[:, :old[i]]),
+                (xs, vs, *pairs[:, old[i]:self.counts[i]]),
             ):
-                have = self.np_img[zs]
-                conflict = (have != -1) & (have != ts)
-                if conflict.any():
-                    return False
-                fresh = have == -1
-                if fresh.any():
-                    queue.extend(zip(zs[fresh].tolist(), ts[fresh].tolist()))
-        return True
+                if not ex.size or not ts.size:
+                    continue
+                chunk = max(1, _GATHER_CHUNK // ex.size)
+                for lo in range(0, ts.size, chunk):
+                    hi = lo + chunk
+                    z, t = self._step(ex[:, None], ev[:, None], ts[None, lo:hi], ss[None, lo:hi])
+                    z, t = z.ravel(), t.ravel()
+                    if i < top:
+                        self._add_pairs(i + 1, z, t)
+                        continue
+                    have = self.img.take(z)
+                    fresh = have != t  # an agreeing image is no news
+                    if (have[fresh] != -1).any():
+                        return None
+                    forced_x.append(z[fresh])
+                    forced_v.append(t[fresh])
+        if not forced_x:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return np.concatenate(forced_x), np.concatenate(forced_v)
 
-    def _assign_levels(self, x0: int, v0: int) -> bool:
-        queue = [(x0, v0)]
-        while queue:
-            x, v = queue.pop()
-            cur = self.img[x]
-            if cur != -1:
-                if cur != v:
-                    return False
-                continue
-            if self.bijective and self.used[v]:
-                return False
-            self.img[x] = v
-            self.np_img[x] = v
-            self.used[v] = True
-            self.assigned.append(x)
-            self.trail.append(("a", x, v))
-            # x extends every existing pair one level up
-            for k in sorted(self.levels, reverse=True):
-                for pair in list(self.levels[k]):
-                    if not self._add_pair(k + 1, self._extend(x, pair), queue):
-                        return False
-            for y in list(self.assigned):
-                base = self._base_pair(y)
-                if y == x:
-                    # new base pair enters at level 1: extend by all assigned
-                    for z in list(self.assigned):
-                        if not self._add_pair(2, self._extend(z, base), queue):
-                            return False
-                else:
-                    # x extends old level-1 pairs
-                    if not self._add_pair(2, self._extend(x, base), queue):
-                        return False
-        return True
+    def _add_pairs(self, i: int, ts: np.ndarray, ss: np.ndarray):
+        """Append to pairs[i] those of the pairs (ts, ss) it does not hold yet."""
+        nc = self.cod.size
+        seen = self.seen[i]
+        codes = ts * nc + ss
+        codes = np.unique(codes[~seen[codes]])
+        seen[codes] = True
+        c = self.counts[i]
+        self.pairs[i][0, c:c + codes.size] = codes // nc
+        self.pairs[i][1, c:c + codes.size] = codes % nc
+        self.counts[i] = c + codes.size
 
     def _undo(self, mark: int):
-        while len(self.trail) > mark:
-            op = self.trail.pop()
-            if op[0] == "a":
-                _, x, v = op
-                self.img[x] = -1
-                self.np_img[x] = -1
-                self.used[v] = False
-                self.assigned.pop()
-            else:
-                _, k, pair = op
-                self.levels[k].pop()
-                self.level_seen[k].discard(pair)
+        """Revert every round recorded on the trail after position mark."""
+        if len(self.trail) <= mark:
+            return
+        old = self.trail[mark]
+        del self.trail[mark:]
+        xs, vs = self.pairs[0][:, old[0]:self.counts[0]]
+        self.img[xs] = -1
+        if self.bijective:
+            self.used[vs] = False
+        for i in range(1, self.n - 1):
+            ts, ss = self.pairs[i][:, old[i]:self.counts[i]]
+            self.seen[i][ts * self.cod.size + ss] = False
+        self.counts = old
 
     # -- candidate filtering -------------------------------------------------
 
@@ -237,36 +243,36 @@ class _TableSearch:
         propagation in _assign for the same pair, so the emitted stream
         and its order are unchanged (survivors stay in ascending order).
         """
+        vs = self._arange
         mask = ~self.used if self.bijective else np.ones(self.cod.size, dtype=bool)
         restricted = self.domains.get(x)
         if restricted is not None:
             allowed = np.zeros(self.cod.size, dtype=bool)
             allowed[restricted] = True
             mask &= allowed
-        z = self.mul[x][x]
-        t = self._self_targets(x)
+        z, t = self._step(x, vs, x, vs)
         if z == x:
-            mask &= t == self._arange
+            mask &= t == vs
         elif self.img[z] != -1:
             mask &= t == self.img[z]
-        if self.assigned:
-            ys = np.array(self.assigned, dtype=np.int64)
-            ws = self.np_img[ys]
+        m = self.counts[0]
+        if m:
+            ys, ws = self.pairs[0][:, :m]
             zs_xy = self.np_mul[x, ys]
-            have_xy = np.where(zs_xy == x, -2, self.np_img[zs_xy])
+            have_xy = np.where(zs_xy == x, -2, self.img[zs_xy])
             rel = have_xy != -1
             if rel.any():
-                t_xy = self._targets_xy(x, ys[rel], ws[rel])  # (N, R)
+                _, t_xy = self._step(x, vs[:, None], ys[rel], ws[rel])  # (N, R)
                 want = have_xy[rel][None, :]
-                want = np.where(want == -2, self._arange[:, None], want)
+                want = np.where(want == -2, vs[:, None], want)
                 mask &= (t_xy == want).all(axis=1)
             zs_yx = self.np_mul[ys, x]
-            have_yx = np.where(zs_yx == x, -2, self.np_img[zs_yx])
+            have_yx = np.where(zs_yx == x, -2, self.img[zs_yx])
             rel = have_yx != -1
             if rel.any():
-                t_yx = self._targets_yx(x, ys[rel], ws[rel])  # (R, N)
+                _, t_yx = self._step(ys[rel][:, None], ws[rel][:, None], x, vs)  # (R, N)
                 want = have_yx[rel][:, None]
-                want = np.where(want == -2, self._arange[None, :], want)
+                want = np.where(want == -2, vs[None, :], want)
                 mask &= (t_yx == want).all(axis=0)
         return np.flatnonzero(mask).tolist()
 
@@ -286,17 +292,14 @@ class _TableSearch:
         if self._over_budget():
             self.budget_exceeded = True
             return
-        x = -1
-        for i in range(self.size):
-            if self.img[i] == -1:
-                x = i
-                break
-        if x == -1:
+        free = np.flatnonzero(self.img == -1)
+        if not free.size:
             table = self._emit()
             if self._verify(table):
                 self.witnesses_emitted += 1
                 yield table
             return
+        x = int(free[0])
         for v in self._candidates(x):
             self.nodes += 1
             mark = len(self.trail)
@@ -321,29 +324,12 @@ class MultiplicativeBijectionSearch(_TableSearch):
 
     bijective = True
 
-    def _extend(self, x, pair):
-        return self.mul[x][pair[0]], self.cod_mul[self.img[x]][pair[1]]
-
-    def _base_pair(self, x):
-        return x, self.img[x]
-
-    def _self_targets(self, x):
-        return self.np_cod_mul[self._arange, self._arange]
-
-    def _targets_xy(self, x, ys, ws):
-        return self.np_cod_mul[:, ws]
-
-    def _targets_yx(self, x, ys, ws):
-        return self.np_cod_mul[ws, :]
-
-    def _forced_xy(self, x, v, ys, ws):
-        return self.np_cod_mul[v, ws]
-
-    def _forced_yx(self, x, v, ys, ws):
-        return self.np_cod_mul[ws, v]
+    def _step(self, xs, vs, ts, ss):
+        # phi(x * t) = phi(x) * phi(t)
+        return _gather(self.np_mul, xs, ts), _gather(self.np_cod_mul, vs, ss)
 
     def _emit(self):
-        return MapTable(self.domain, self.codomain, table=np.array(self.img, dtype=np.int64))
+        return MapTable(self.domain, self.codomain, table=self.img.copy())
 
     def _verify(self, table) -> bool:
         return bool(is_n_multiplicative(table, self.n, tree_mode=self.tree_mode))
@@ -354,34 +340,14 @@ class DerivationSearch(_TableSearch):
 
     bijective = False
 
-    def _extend(self, x, pair):
-        t, s = pair
-        leib = self.cod_add[self.mul[self.img[x]][t]][self.mul[x][s]]
-        return self.mul[x][t], leib
-
-    def _base_pair(self, x):
-        return x, self.img[x]
-
-    def _self_targets(self, x):
-        # d(x*x) = d(x)*x + x*d(x) over candidates d(x) = v
-        return self.np_cod_add[self.np_mul[:, x], self.np_mul[x, :]]
-
-    def _targets_xy(self, x, ys, ws):
-        # d(x*y) = d(x)*y + x*d(y), candidates v in rows
-        return self.np_cod_add[self.np_mul[:, ys], self.np_mul[x, ws][None, :]]
-
-    def _targets_yx(self, x, ys, ws):
-        # d(y*x) = d(y)*x + y*d(x), candidates v in columns
-        return self.np_cod_add[self.np_mul[ws, x][:, None], self.np_mul[ys, :]]
-
-    def _forced_xy(self, x, v, ys, ws):
-        return self.np_cod_add[self.np_mul[v, ys], self.np_mul[x, ws]]
-
-    def _forced_yx(self, x, v, ys, ws):
-        return self.np_cod_add[self.np_mul[ws, x], self.np_mul[ys, v]]
+    def _step(self, xs, vs, ts, ss):
+        # d(x * t) = d(x) * t + x * d(t)
+        mul = self.np_mul
+        target = _gather(self.np_cod_add, _gather(mul, vs, ts), _gather(mul, xs, ss))
+        return _gather(mul, xs, ts), target
 
     def _emit(self):
-        return DerivationTable(self.domain, table=np.array(self.img, dtype=np.int64))
+        return DerivationTable(self.domain, table=self.img.copy())
 
     def _verify(self, table) -> bool:
         return bool(is_n_derivation(table, self.n, tree_mode=self.tree_mode))

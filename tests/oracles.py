@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (structure
 table, raw coordinate arithmetic, full enumeration) without going
-through the code paths under test.
+through the code paths under test. The reference searches at the end
+share the DFS and the candidate prefilter with the engine and replace
+only its propagation.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from jordankit.search import DerivationSearch, MultiplicativeBijectionSearch
 
 
 def raw_multiply(algebra, xc, yc):
@@ -146,3 +150,133 @@ def bijections_bruteforce(mul_table: np.ndarray, chunk: int = 20000):
     if batch:
         flush(batch)
     return sorted(hits)
+
+
+# ---------------------------------------------------------------------------
+# reference propagation for the table searches
+
+
+class QueuePropagation:
+    """Forcing one image at a time: the reference for the frontier closure.
+
+    Mixed in ahead of a search class, this replaces _assign and _undo by a
+    per-element queue over Python lists and sets, with products read from
+    list-of-lists tables. Level-k pairs (t, s) are extended by each
+    assigned x to level k + 1, and a level-n pair forces img[t] = s; every
+    pair is extended as soon as it appears. The engine state that
+    _candidates and the DFS read (img, used and the assigned prefix
+    pairs[0][:, :counts[0]]) is kept in step.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.mul_rows = self.dom.mul.tolist()
+        self.cod_mul_rows = self.cod.mul.tolist()
+        self.cod_add_rows = self.cod.add.tolist()
+        self.ref_img = [-1] * self.size
+        self.assigned = []
+        self.levels = {k: [] for k in range(2, self.n)}
+        self.level_seen = {k: set() for k in range(2, self.n)}
+
+    def _extend(self, x, pair):
+        raise NotImplementedError
+
+    def _force(self, t, s, queue):
+        cur = self.ref_img[t]
+        if cur != -1:
+            return cur == s
+        queue.append((t, s))
+        return True
+
+    def _add_pair(self, k, pair, queue):
+        if k == self.n:
+            return self._force(pair[0], pair[1], queue)
+        if pair in self.level_seen[k]:
+            return True
+        self.level_seen[k].add(pair)
+        self.levels[k].append(pair)
+        self.trail.append(("p", k, pair))
+        for x in self.assigned:
+            if not self._add_pair(k + 1, self._extend(x, pair), queue):
+                return False
+        return True
+
+    def _assign(self, x0, v0):
+        queue = [(x0, v0)]
+        while queue:
+            x, v = queue.pop()
+            cur = self.ref_img[x]
+            if cur != -1:
+                if cur != v:
+                    return False
+                continue
+            if self.bijective and self.used[v]:
+                return False
+            self.ref_img[x] = v
+            self.img[x] = v
+            self.used[v] = True
+            m = self.counts[0]
+            self.pairs[0][:, m] = x, v
+            self.counts[0] = m + 1
+            self.assigned.append(x)
+            self.trail.append(("a", x, v))
+            # x extends every existing pair one level up
+            for k in sorted(self.levels, reverse=True):
+                for pair in list(self.levels[k]):
+                    if not self._add_pair(k + 1, self._extend(x, pair), queue):
+                        return False
+            for y in list(self.assigned):
+                base = (y, self.ref_img[y])
+                if y == x:
+                    # the new base pair, extended by every assigned element
+                    for z in list(self.assigned):
+                        if not self._add_pair(2, self._extend(z, base), queue):
+                            return False
+                elif not self._add_pair(2, self._extend(x, base), queue):
+                    return False
+        return True
+
+    def _undo(self, mark):
+        while len(self.trail) > mark:
+            op = self.trail.pop()
+            if op[0] == "a":
+                _, x, v = op
+                self.ref_img[x] = -1
+                self.img[x] = -1
+                self.used[v] = False
+                self.counts[0] -= 1
+                self.assigned.pop()
+            else:
+                _, k, pair = op
+                self.levels[k].pop()
+                self.level_seen[k].discard(pair)
+
+
+class ReferenceBijectionSearch(QueuePropagation, MultiplicativeBijectionSearch):
+    def _extend(self, x, pair):
+        # phi(x * t) = phi(x) * phi(t)
+        t, s = pair
+        return self.mul_rows[x][t], self.cod_mul_rows[self.ref_img[x]][s]
+
+
+class ReferenceDerivationSearch(QueuePropagation, DerivationSearch):
+    def _extend(self, x, pair):
+        # d(x * t) = d(x) * t + x * d(t)
+        t, s = pair
+        mul = self.mul_rows
+        return mul[x][t], self.cod_add_rows[mul[self.ref_img[x]][t]][mul[x][s]]
+
+
+def reference_search(search):
+    """A fresh queue-propagation twin of a fresh engine search.
+
+    Same algebras, degree, budget, tree mode and restricted domains; a
+    derivation twin seeds d(0) = 0 as enumerate_n_derivations does.
+    """
+    cls = ReferenceBijectionSearch if search.bijective else ReferenceDerivationSearch
+    ref = cls(search.domain, search.codomain, search.n, search.budget,
+              max(search.dom.size, search.cod.size), search.tree_mode)
+    if not search.bijective and not ref._assign(0, 0):
+        raise AssertionError("seeding d(0) = 0 failed in the reference")
+    ref.domains = dict(search.domains)
+    return ref

@@ -190,6 +190,25 @@ def test_audit_explicit_idempotent(files, capsys):
     assert "idempotent: 1,0,0,0" in out
 
 
+def test_map_entry_without_out_exits_2(files, tmp_path, capsys):
+    entries = [{"in": "0,0,0,0", "out": "0,0,0,0"}, {"in": "0,0,0,1"}]
+    map_path = tmp_path / "no_out.map"
+    map_path.write_text(json.dumps({"entries": entries}))
+    report = run(["check-derivation", files["k_f3"], str(map_path), "--n", "2"])
+    assert report.exit_code == 2
+    assert "'out'" in capsys.readouterr().err
+
+
+def test_rational_zero_denominator_exits_2(files, tmp_path, capsys):
+    data = json.loads(open(files["k_q"]).read())
+    data["products"][0]["c"] = "1/0"
+    path = tmp_path / "zero_denominator.alg"
+    path.write_text(json.dumps(data))
+    report = run(["check", str(path)])
+    assert report.exit_code == 2
+    assert "1/0" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(capsys):
     report = run(["check", "/nonexistent/file.alg"])
     assert report.exit_code == 2

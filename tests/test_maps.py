@@ -440,6 +440,31 @@ def test_table_matrix_consistency_enforced(kf3):
         MapTable(kf3, kf3, table=bad, matrix=ident_matrix)
 
 
+def test_table_with_negative_entries_rejected(kf3):
+    # numpy would wrap -1 to the last element and give a silent verdict
+    with pytest.raises(FormatError):
+        MapTable(kf3, kf3, table=[-1] * 81)
+    with pytest.raises(FormatError):
+        DerivationTable(kf3, table=np.full(81, -1))
+
+
+def test_table_of_wrong_length_or_range_rejected(kf3, f3xf3):
+    with pytest.raises(FormatError):
+        MapTable(kf3, kf3, table=[0] * 80)  # one entry short
+    with pytest.raises(FormatError):
+        MapTable(kf3, kf3, table=[[0] * 81])
+    with pytest.raises(FormatError):
+        MapTable(kf3, kf3, table=[0.5] * 81)  # numpy would truncate to 0
+    with pytest.raises(FormatError):
+        MapTable(kf3, f3xf3, table=[9] * 81)  # f3xf3 has 9 elements
+    MapTable(kf3, f3xf3, table=[8] * 81)
+
+
+def test_table_over_rationals_rejected(kq):
+    with pytest.raises(CarrierInfinite):
+        MapTable(kq, kq, table=[0])
+
+
 def test_from_entries_requires_totality(kf3):
     pairs = [(x, x) for x, _ in list(MapTable.identity(kf3).entries())[:-1]]
     with pytest.raises(FormatError):
