@@ -262,9 +262,7 @@ def _cmd_audit(args) -> RunReport:
         search = enumerate_multiplicative_bijections(a, a, args.n, budget)
     else:
         search = enumerate_n_derivations(a, args.n, budget)
-    tables = list(search)
-    replay = _ReplayStream(tables, search.exhausted, search.budget_exceeded)
-    report = additivity_audit(replay, dec)
+    report = additivity_audit(search, dec)
     hyp = report.hypothesis_record
     rep.info(
         "conditions: i={} ii={} iii={}".format(
@@ -277,20 +275,13 @@ def _cmd_audit(args) -> RunReport:
     rep.verdict("all_additive", report.all_additive)
     if args.mode == "derivations":
         bad = None
-        for table in tables:
+        for table in report.tables:
             p1, _, p0 = peirce_project(dec, table.apply(e))
             if not (p1.is_zero() and p0.is_zero()):
                 bad = table.apply(e)
                 break
         rep.verdict("d(e) in Jhalf for all witnesses", bad is None, bad.text() if bad else "")
     return rep.finish()
-
-
-class _ReplayStream(list):
-    def __init__(self, tables, exhausted, budget_exceeded):
-        super().__init__(tables)
-        self.exhausted = exhausted
-        self.budget_exceeded = budget_exceeded
 
 
 def _cmd_example(args) -> RunReport:

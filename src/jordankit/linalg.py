@@ -31,14 +31,6 @@ def mat_sub(f: Field, a: list[list], b: list[list]) -> list[list]:
     return [[f.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_add(f: Field, a: list[list], b: list[list]) -> list[list]:
-    return [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(f: Field, c, a: list[list]) -> list[list]:
-    return [[f.mul(c, x) for x in row] for row in a]
-
-
 def mat_mul(f: Field, a: list[list], b: list[list]) -> list[list]:
     n, k = len(a), len(b)
     cols = len(b[0]) if b else 0

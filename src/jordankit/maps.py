@@ -2,10 +2,21 @@
 
 Over a finite carrier, maps are total function tables (stored as index
 arrays) and every predicate is an exhaustive, vectorized scan with a
-deterministic first witness in lexicographic coordinate order. Over the
-rationals only linear, matrix-backed maps are supported; the predicates
-then reduce to exact checks on basis tuples (with polarization where an
-identity is quadratic in one variable).
+deterministic first witness in lexicographic coordinate order.
+
+The n-ary predicates (is_n_multiplicative, is_n_derivation) evaluate a
+monomial tree over broadcast index grids: slot s of an n-tuple is
+arange(N) laid along axis s, and a product is one flat take from the
+N x N multiplication table, whose result spans the outer product of the
+slots below it. A scan walks whole rows of the first slot at a time, so
+the first failing entry of a chunk in C order is the first lexicographic
+witness. For derivations every subtree is evaluated once; each of the n
+substitution terms d(x_i) then recomputes only the path from its leaf to
+the root.
+
+Over the rationals only linear, matrix-backed maps are supported; the
+predicates then reduce to exact checks on basis tuples (with
+polarization where an identity is quadratic in one variable).
 """
 
 from __future__ import annotations
@@ -117,18 +128,6 @@ class FunctionTable:
     @classmethod
     def from_matrix(cls, domain: Algebra, codomain: Algebra, matrix):
         return cls._construct(domain, codomain, matrix=matrix)
-
-    @classmethod
-    def from_function(cls, domain: Algebra, codomain: Algebra, fn, cap=DEFAULT_CARRIER_CAP):
-        dom = carrier_of(domain, cap)
-        cod = carrier_of(codomain, cap)
-        table = np.empty(dom.size, dtype=np.int64)
-        for i in range(dom.size):
-            y = fn(dom.element_at(i))
-            if y.algebra is not codomain:
-                raise AlgebraMismatch("image lies in a different algebra")
-            table[i] = cod.index_of(y)
-        return cls._construct(domain, codomain, table=table)
 
     @classmethod
     def from_entries(cls, domain: Algebra, codomain: Algebra, pairs, cap=DEFAULT_CARRIER_CAP):
@@ -281,26 +280,76 @@ def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
     return flat // n, flat % n
 
 
-def _leaf_values(n: int, slot: int, size: int, start: int, stop: int) -> np.ndarray:
-    stride = size ** (n - slot)
-    return (np.arange(start, stop, dtype=np.int64) // stride) % size
+def _slot_grids(n: int, size: int, rows: slice) -> list[np.ndarray]:
+    """Slot s of an n-tuple as arange(size) along axis s - 1; slot 1 keeps rows."""
+    values = np.arange(size, dtype=np.int64)
+    grids = []
+    for axis in range(n):
+        shape = [1] * n
+        shape[axis] = -1
+        grids.append((values[rows] if axis == 0 else values).reshape(shape))
+    return grids
 
 
-def _eval_tree_chunk(tree, n, size, mul, start, stop, leaf_map):
+def _grid_eval(tree, leaves, mul: np.ndarray, memo: dict | None = None) -> np.ndarray:
+    """The value of tree with slot s set to the grid leaves[s - 1].
+
+    A product is one flat take from the multiplication table; it broadcasts
+    to the outer product of the slots below it. When memo is given, it
+    receives the value of every subtree.
+    """
     if isinstance(tree, Leaf):
-        vals = _leaf_values(n, tree.slot, size, start, stop)
-        sub = leaf_map.get(tree.slot)
-        return vals if sub is None else sub[vals]
-    lv = _eval_tree_chunk(tree.left, n, size, mul, start, stop, leaf_map)
-    rv = _eval_tree_chunk(tree.right, n, size, mul, start, stop, leaf_map)
-    return mul[lv, rv]
+        val = leaves[tree.slot - 1]
+    else:
+        left = _grid_eval(tree.left, leaves, mul, memo)
+        right = _grid_eval(tree.right, leaves, mul, memo)
+        val = mul.take(left * mul.shape[1] + right)
+    if memo is not None:
+        memo[tree] = val
+    return val
 
 
-def _decode_tuple(flat: int, n: int, size: int) -> tuple[int, ...]:
-    out = []
-    for slot in range(1, n + 1):
-        out.append((flat // size ** (n - slot)) % size)
-    return tuple(out)
+def _substituted(tree, memo: dict, subs, mul: np.ndarray):
+    """Yield tree's value with slot s set to subs[s - 1], one slot at a time.
+
+    Slots go left to right. Only the path from the substituted leaf to the
+    root is recomputed; every other subtree is read from memo (_grid_eval).
+    """
+    if isinstance(tree, Leaf):
+        yield subs[tree.slot - 1]
+        return
+    size = mul.shape[1]
+    right = memo[tree.right]
+    for val in _substituted(tree.left, memo, subs, mul):
+        yield mul.take(val * size + right)
+    left = memo[tree.left]
+    for val in _substituted(tree.right, memo, subs, mul):
+        yield mul.take(left * size + val)
+
+
+def _check_budget(count: int, n: int, trees, budget: int) -> None:
+    total = count**n * len(trees)
+    if total > budget:
+        raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
+
+
+def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
+    """The first (tree, args) at which mismatch(tree, grids) is true.
+
+    Trees go in the given order and n-tuples of carrier elements in
+    lexicographic order, in chunks of whole rows of the first slot, so the
+    C-order argmax of a chunk is the first witness in it.
+    """
+    size = dom.size
+    rows = max(1, _CHUNK // size ** (n - 1))
+    for tree in trees:
+        for start in range(0, size, rows):
+            bad = mismatch(tree, _slot_grids(n, size, slice(start, start + rows)))
+            if bad.any():
+                first = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                idxs = (start + int(first[0]), *(int(i) for i in first[1:]))
+                return Verdict(False, (tree, tuple(dom.element_at(i) for i in idxs)))
+    return Verdict(True)
 
 
 def _trees_for(n: int, tree_mode: str):
@@ -363,25 +412,15 @@ def is_n_multiplicative(
     if t.has_table():
         dom = t.domain_carrier(cap)
         cod = t.codomain_carrier(cap)
-        size = dom.size
-        total = size**n * len(trees)
-        if total > budget:
-            raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
+        _check_budget(dom.size, n, trees, budget)
         phi = t.index_table(cap)
-        mul_dom = dom.mul
-        mul_cod = cod.mul
-        all_phi = {slot: phi for slot in range(1, n + 1)}
-        for tree in trees:
-            for start in range(0, size**n, _CHUNK):
-                stop = min(start + _CHUNK, size**n)
-                vals = _eval_tree_chunk(tree, n, size, mul_dom, start, stop, {})
-                imgs = _eval_tree_chunk(tree, n, size, mul_cod, start, stop, all_phi)
-                bad = phi[vals] != imgs
-                if bad.any():
-                    flat = start + int(np.argmax(bad))
-                    args = tuple(dom.element_at(i) for i in _decode_tuple(flat, n, size))
-                    return Verdict(False, (tree, args))
-        return Verdict(True)
+
+        def mismatch(tree, grids):
+            vals = _grid_eval(tree, grids, dom.mul)
+            imgs = _grid_eval(tree, [phi.take(g) for g in grids], cod.mul)
+            return phi.take(vals) != imgs
+
+        return _grid_scan(dom, n, trees, mismatch)
     return _linear_n_multiplicative(t, n, trees, budget)
 
 
@@ -389,9 +428,7 @@ def _linear_n_multiplicative(t: FunctionTable, n: int, trees, budget: int) -> Ve
     # Both sides are multilinear once the map is linear, so basis tuples decide.
     dom, cod = t.domain, t.codomain
     basis = dom.basis_elements()
-    total = len(basis) ** n * len(trees)
-    if total > budget:
-        raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
+    _check_budget(len(basis), n, trees, budget)
     for tree in trees:
         for args in itertools.product(basis, repeat=n):
             lhs = t.apply(monomial_eval(dom, tree, args))
@@ -443,37 +480,27 @@ def is_n_derivation(
     trees = _trees_for(n, tree_mode)
     if t.has_table():
         dom = t.domain_carrier(cap)
-        size = dom.size
-        total = size**n * len(trees)
-        if total > budget:
-            raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
+        _check_budget(dom.size, n, trees, budget)
         dmap = t.index_table(cap)
-        mul = dom.mul
-        add = dom.add
-        for tree in trees:
-            for start in range(0, size**n, _CHUNK):
-                stop = min(start + _CHUNK, size**n)
-                vals = _eval_tree_chunk(tree, n, size, mul, start, stop, {})
-                lhs = dmap[vals]
-                rhs = None
-                for slot in range(1, n + 1):
-                    term = _eval_tree_chunk(tree, n, size, mul, start, stop, {slot: dmap})
-                    rhs = term if rhs is None else add[rhs, term]
-                bad = lhs != rhs
-                if bad.any():
-                    flat = start + int(np.argmax(bad))
-                    args = tuple(dom.element_at(i) for i in _decode_tuple(flat, n, size))
-                    return Verdict(False, (tree, args))
-        return Verdict(True)
+        mul, add = dom.mul, dom.add
+
+        def mismatch(tree, grids):
+            memo = {}
+            _grid_eval(tree, grids, mul, memo)
+            lhs = dmap.take(memo.pop(tree))
+            rhs = None
+            for term in _substituted(tree, memo, [dmap.take(g) for g in grids], mul):
+                rhs = term if rhs is None else add.take(rhs * dom.size + term)
+            return lhs != rhs
+
+        return _grid_scan(dom, n, trees, mismatch)
     return _linear_n_derivation(t, n, trees, budget)
 
 
 def _linear_n_derivation(t: DerivationTable, n: int, trees, budget: int) -> Verdict:
     a = t.domain
     basis = a.basis_elements()
-    total = len(basis) ** n * len(trees)
-    if total > budget:
-        raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
+    _check_budget(len(basis), n, trees, budget)
     for tree in trees:
         for args in itertools.product(basis, repeat=n):
             lhs = t.apply(monomial_eval(a, tree, args))

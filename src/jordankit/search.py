@@ -24,7 +24,7 @@ are yielded, so the stream is sound independently of the pruning logic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -406,6 +406,7 @@ class AuditReport:
     exhausted: bool
     hypothesis_record: object = None
     budget_exceeded: bool = False
+    tables: list = field(default_factory=list)  # every audited table, in stream order
 
     def __post_init__(self):
         if self.all_additive != (not self.nonadditive_witnesses):
@@ -413,23 +414,28 @@ class AuditReport:
 
 
 def additivity_audit(stream, hypotheses: PeirceDecomposition | None = None) -> AuditReport:
-    """Run is_additive on every emitted table and summarize the outcome."""
+    """Run is_additive on every emitted table and summarize the outcome.
+
+    ``exhausted`` and ``budget_exceeded`` come from the stream's run record,
+    read after the last table. A stream without one, such as a plain list
+    of tables, is reported as not exhausted: nothing says it holds every
+    witness.
+    """
     hypothesis_record = (
         check_theorem_conditions(hypotheses) if hypotheses is not None else None
     )
-    count = 0
+    tables = []
     nonadditive = []
     for table in stream:
-        count += 1
+        tables.append(table)
         if not is_additive(table):
             nonadditive.append(table)
-    exhausted = bool(getattr(stream, "exhausted", True))
-    budget_exceeded = bool(getattr(stream, "budget_exceeded", False))
     return AuditReport(
-        witnesses_found=count,
+        witnesses_found=len(tables),
         all_additive=not nonadditive,
         nonadditive_witnesses=nonadditive,
-        exhausted=exhausted,
+        exhausted=bool(getattr(stream, "exhausted", False)),
         hypothesis_record=hypothesis_record,
-        budget_exceeded=budget_exceeded,
+        budget_exceeded=bool(getattr(stream, "budget_exceeded", False)),
+        tables=tables,
     )

@@ -13,6 +13,7 @@ import itertools
 
 import numpy as np
 
+from jordankit.algebra import monomial_eval
 from jordankit.search import DerivationSearch, MultiplicativeBijectionSearch
 
 
@@ -123,6 +124,33 @@ def idempotents_bruteforce(algebra):
         if any(x) and raw_multiply(algebra, x, x) == x:
             hits.append(x)
     return hits
+
+
+def first_identity_failure(t, n, trees, derivation):
+    """The first (tree, args) where the n-ary identity fails, or None.
+
+    Element-level: every monomial is evaluated with monomial_eval, trees in
+    the given order and argument tuples in lexicographic carrier order.
+    The identity is phi(m(x..)) = m(phi(x)..), or with derivation=True
+    d(m(x..)) = sum_i m(x_1, .., d(x_i), .., x_n).
+    """
+    dom, cod = t.domain_carrier(), t.codomain_carrier()
+    elems = [dom.element_at(i) for i in range(dom.size)]
+    images = [t.apply(x) for x in elems]
+    for tree in trees:
+        for idxs in itertools.product(range(dom.size), repeat=n):
+            args = [elems[i] for i in idxs]
+            lhs = images[dom.index_of(monomial_eval(t.domain, tree, args))]
+            if derivation:
+                rhs = t.domain.zero()
+                for i in range(n):
+                    subbed = args[:i] + [images[idxs[i]]] + args[i + 1 :]
+                    rhs = rhs + monomial_eval(t.domain, tree, subbed)
+            else:
+                rhs = monomial_eval(t.codomain, tree, [images[i] for i in idxs])
+            if lhs != rhs:
+                return tree, tuple(args)
+    return None
 
 
 def bijections_bruteforce(mul_table: np.ndarray, chunk: int = 20000):

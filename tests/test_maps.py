@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jordankit import (
     AlgebraMismatch,
@@ -31,6 +32,7 @@ from jordankit import (
     map_table_to_dict,
     matrix_units_algebra,
     monomial_eval,
+    mult_operators,
     multiply,
     peirce_decompose,
     peirce_project,
@@ -38,8 +40,12 @@ from jordankit import (
     reduce_derivation,
     save_map_table,
 )
+from jordankit import maps as maps_module
+from jordankit.linalg import mat_mul, mat_sub
 
+import oracles
 from conftest import planted_peirce_violation
+from strategies import f3_algebras
 
 
 def transpose_map(alg):
@@ -393,6 +399,110 @@ def test_delta_additive_iff_d_additive_on_f5(kf5):
 def test_n_derivation_budget(kf3):
     with pytest.raises(BudgetExceeded):
         is_n_derivation(DerivationTable.zero(kf3), 3, budget=100)
+
+
+# ---------------------------------------------------------------------------
+# the grid evaluator against the Element-level reference
+
+
+def n_ary_check(algebra, table, n, tree_mode, kind):
+    """(fast verdict, reference first failure) of one n-ary predicate."""
+    if kind == "derivation":
+        t = DerivationTable(algebra, table=table)
+        verdict = is_n_derivation(t, n, tree_mode=tree_mode)
+    else:
+        t = MapTable(algebra, algebra, table=table)
+        verdict = is_n_multiplicative(t, n, tree_mode=tree_mode)
+    trees = maps_module._trees_for(n, tree_mode)
+    return verdict, oracles.first_identity_failure(t, n, trees, kind == "derivation")
+
+
+# the Element-level reference scans N**n tuples; keep that at most 9**4
+MAX_DIM = {2: 3, 3: 2, 4: 2}
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(
+    st.data(),
+    st.sampled_from([2, 3, 4]),
+    st.sampled_from(["canonical", "all_trees"]),
+    st.sampled_from(["multiplicative", "derivation"]),
+)
+def test_grid_evaluator_matches_reference(data, n, tree_mode, kind):
+    algebra = data.draw(f3_algebras(max_dim=MAX_DIM[n]))
+    size = 3**algebra.dim
+    base = data.draw(st.sampled_from(["zero", "identity", "random"]))
+    if base == "random":
+        values = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        table = np.array(values, dtype=np.int64)
+    else:
+        table = np.zeros(size, dtype=np.int64) if base == "zero" else np.arange(size)
+    if data.draw(st.booleans()):  # one wrong entry: the witness lies further in
+        i = data.draw(st.integers(0, size - 1))
+        table[i] = data.draw(st.integers(0, size - 1))
+    verdict, failure = n_ary_check(algebra, table, n, tree_mode, kind)
+    assert (verdict.ok, verdict.witness) == (failure is None, failure)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("kind", ["multiplicative", "derivation"])
+def test_grid_scan_in_row_chunks(monkeypatch, f3xf3, kind, rows):
+    # phi(0) = 0 makes every tuple of the first row pass; the wrong entry
+    # at the last element is met in the second row, a later chunk when a
+    # chunk is one row
+    table = np.zeros(9, dtype=np.int64) if kind == "derivation" else np.arange(9)
+    table[8] = 4
+    unchunked = n_ary_check(f3xf3, table, 3, "all_trees", kind)[0]
+    monkeypatch.setattr(maps_module, "_CHUNK", rows * 9**2)  # rows of the first slot a chunk
+    verdict, failure = n_ary_check(f3xf3, table, 3, "all_trees", kind)
+    assert not verdict.ok
+    assert carrier_of(f3xf3).index_of(verdict.witness[1][0]) == 1
+    assert verdict.witness == failure == unchunked.witness
+
+
+# ---------------------------------------------------------------------------
+# the table route against the linear route
+
+
+def linear_route_cases(name, algebra):
+    """(matrix-backed map over F3, multiplicative?, derivation?); None: either."""
+    f = algebra.field
+    basis = algebra.basis_elements()
+    cases = [
+        (DerivationTable.identity(algebra), True, False),
+        (DerivationTable.zero(algebra), True, True),
+    ]
+    if name == "kf3":  # Jordan: the inner derivations [L_y, L_z] + [L_y, R_z] + [R_y, R_z]
+        for i, j in ((0, 1), (1, 2), (0, 3)):
+            cases.append((inner_derivation(algebra, basis[i], basis[j]), None, True))
+    else:  # associative M2: x -> ax - xa is a derivation, x -> g x g^-1 an automorphism
+        for a in basis[:2]:
+            left, right = (op.matrix for op in mult_operators(algebra, a))
+            cases.append((DerivationTable(algebra, matrix=mat_sub(f, left, right)), None, True))
+        g, g_inv = algebra.element([1, 1, 0, 1]), algebra.element([1, 2, 0, 1])
+        conj = mat_mul(f, mult_operators(algebra, g)[0].matrix, mult_operators(algebra, g_inv)[1].matrix)
+        cases.append((DerivationTable(algebra, matrix=conj), True, False))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        m = [[f.from_int(int(c)) for c in row] for row in rng.integers(0, 3, (4, 4))]
+        cases.append((DerivationTable(algebra, matrix=m), False, False))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["kf3", "m2f3"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_table_route_matches_linear_route(request, name, n):
+    budget = maps_module.DEFAULT_EVAL_BUDGET
+    for t, mult, der in linear_route_cases(name, request.getfixturevalue(name)):
+        assert t.has_table() and t.matrix is not None  # is_n_* take the table route
+        for mode in ("canonical", "all_trees"):
+            trees = maps_module._trees_for(n, mode)
+            linear = maps_module._linear_n_multiplicative(t, n, trees, budget).ok
+            assert is_n_multiplicative(t, n, tree_mode=mode).ok == linear
+            assert mult is None or linear == mult
+            linear = maps_module._linear_n_derivation(t, n, trees, budget).ok
+            assert is_n_derivation(t, n, tree_mode=mode).ok == linear
+            assert der is None or linear == der
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jordankit import (
-    Algebra,
     SearchBudget,
     enumerate_multiplicative_bijections,
     enumerate_n_derivations,
-    prime_field,
 )
 from jordankit import search as search_module
 
 import oracles
+from strategies import f3_algebras
 
 
 def run(search):
@@ -96,18 +95,6 @@ def test_frontier_conflicts_fail_and_undo(kf3):
         assert search.counts == [0] and search.trail == []
     assert commit([0], [0])
     assert not commit([1], [0])  # an image already taken
-
-
-@st.composite
-def f3_algebras(draw):
-    """Random structure tables over F3 of dimension at most 3."""
-    dim = draw(st.integers(1, 3))
-    coeffs = draw(st.lists(st.integers(0, 2), min_size=dim**3, max_size=dim**3))
-    c = np.array(coeffs, dtype=np.int64).reshape(dim, dim, dim)
-    if draw(st.booleans()):  # commutative: c[i][j] = c[j][i]
-        upper = np.arange(dim)[:, None, None] <= np.arange(dim)[None, :, None]
-        c = np.where(upper, c, c.transpose(1, 0, 2))
-    return Algebra(prime_field(3), tuple(f"b{i}" for i in range(dim)), c.tolist())
 
 
 @settings(max_examples=80, deadline=None, database=None)

@@ -313,6 +313,15 @@ def test_audit_empty_stream_vacuous(kf3):
     assert not report.exhausted
 
 
+def test_audit_of_a_plain_list_is_not_exhausted(kf3):
+    # a list has no run record, so nothing says it holds every witness
+    tables = list(enumerate_n_derivations(kf3, 2))
+    report = additivity_audit(tables)
+    assert report.witnesses_found == 27 and report.all_additive
+    assert not report.exhausted and not report.budget_exceeded
+    assert report.tables == tables
+
+
 def spin3_algebra(p):
     """The 3-dim Jordan subalgebra span(e11, e10+e01, e00) of the
     symmetrized matrix algebra, as its own structure-constant table."""
