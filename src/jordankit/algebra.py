@@ -23,7 +23,14 @@ from .errors import (
 from .linalg import solve_unique
 from .scalars import Field, field_from_spec
 
-DEFAULT_ENUMERATION_CAP = 10**6
+# The most elements (p**dim) that any exhaustive enumeration walks.
+ENUMERATION_CAP = 10**6
+
+
+def check_enumerable(p: int, d: int, cap: int = ENUMERATION_CAP) -> None:
+    """Raise EnumerationTooLarge when a carrier of p**d elements exceeds cap."""
+    if p**d > cap:
+        raise EnumerationTooLarge(f"carrier size {p}^{d} exceeds cap {cap}")
 
 
 class Algebra:
@@ -188,6 +195,15 @@ def commutator(a: Algebra, x: Element, y: Element) -> Element:
     return multiply(a, x, y) - multiply(a, y, x)
 
 
+def noncommuting_pair(a: Algebra) -> tuple[Element, Element] | None:
+    """The first basis pair (b_i, b_j), i < j, with b_i b_j != b_j b_i, or None."""
+    basis = a.basis_elements()
+    for x, y in itertools.combinations(basis, 2):
+        if not commutator(a, x, y).is_zero():
+            return x, y
+    return None
+
+
 # ---------------------------------------------------------------------------
 # nonassociative monomials
 
@@ -198,8 +214,13 @@ class MonomialTree:
     __slots__ = ()
 
     @property
-    def degree(self) -> int:
+    def slots(self) -> tuple[int, ...]:
+        """The slot of every leaf, left to right; a slot may repeat."""
         raise NotImplementedError
+
+    @property
+    def degree(self) -> int:
+        return len(self.slots)
 
 
 @dataclass(frozen=True)
@@ -207,8 +228,8 @@ class Leaf(MonomialTree):
     slot: int
 
     @property
-    def degree(self) -> int:
-        return 1
+    def slots(self) -> tuple[int, ...]:
+        return (self.slot,)
 
     def __repr__(self):
         return f"x{self.slot}"
@@ -220,8 +241,8 @@ class Node(MonomialTree):
     right: MonomialTree
 
     @property
-    def degree(self) -> int:
-        return self.left.degree + self.right.degree
+    def slots(self) -> tuple[int, ...]:
+        return self.left.slots + self.right.slots
 
     def __repr__(self):
         return f"({self.left!r} {self.right!r})"
@@ -251,10 +272,11 @@ def all_trees(n: int, _start: int = 1):
 
 
 def monomial_eval(a: Algebra, tree: MonomialTree, args) -> Element:
-    """Evaluate a monomial tree on the given arguments."""
+    """Evaluate a monomial tree on the given arguments, one per distinct slot."""
     args = list(args)
-    if len(args) != tree.degree:
-        raise ArityMismatch(f"tree of degree {tree.degree} got {len(args)} arguments")
+    arity = len(set(tree.slots))
+    if len(args) != arity:
+        raise ArityMismatch(f"tree with {arity} slots got {len(args)} arguments")
     for x in args:
         if x.algebra is not a:
             raise AlgebraMismatch("argument belongs to a different algebra")
@@ -351,7 +373,7 @@ class IdentityReport:
     witnesses: dict = dataclass_field(default_factory=dict)  # per failing property
 
 
-def identity_report(a: Algebra, cap: int = DEFAULT_ENUMERATION_CAP) -> IdentityReport:
+def identity_report(a: Algebra, cap: int = ENUMERATION_CAP) -> IdentityReport:
     """Check commutativity, associativity, flexibility, and the Jordan law.
 
     The Jordan identity (x*x, y, x) = 0 is cubic in x, so it is decided by
@@ -366,15 +388,10 @@ def identity_report(a: Algebra, cap: int = DEFAULT_ENUMERATION_CAP) -> IdentityR
     d = a.dim
     witnesses: dict = {}
 
-    commutative = True
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not commutator(a, basis[i], basis[j]).is_zero():
-                commutative = False
-                witnesses["commutative"] = (basis[i], basis[j])
-                break
-        if not commutative:
-            break
+    pair = noncommuting_pair(a)
+    commutative = pair is None
+    if not commutative:
+        witnesses["commutative"] = pair
 
     associative = True
     for i, j, k in itertools.product(range(d), repeat=3):
@@ -490,8 +507,7 @@ def _jordan_exhaustive(a: Algebra, basis, cap: int) -> tuple[bool, tuple | None]
         raise CharacteristicUnsupported(
             "exhaustive Jordan check needs a finite field"
         )
-    if p**d > cap:
-        raise EnumerationTooLarge(f"carrier size {p}^{d} exceeds cap {cap}")
+    check_enumerable(p, d, cap)
     for coords in itertools.product(range(p), repeat=d):
         x = Element(a, coords)
         sq = multiply(a, x, x)
@@ -570,8 +586,10 @@ def algebra_from_dict(data: dict) -> Algebra:
     if not isinstance(dim, int) or dim < 1:
         raise FormatError(f"dim must be a positive integer, got {dim!r}")
     basis = data["basis"]
-    if len(basis) != dim:
-        raise FormatError(f"basis has {len(basis)} names but dim={dim}")
+    if not isinstance(basis, list) or len(basis) != dim:
+        raise FormatError(f"basis must be a list of dim={dim} names, got {basis!r}")
+    if not isinstance(data["products"], list):
+        raise FormatError(f"products must be a list, got {data['products']!r}")
     zero = f.zero()
     table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()

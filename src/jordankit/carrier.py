@@ -11,23 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import ENUMERATION_CAP, Algebra, Element, check_enumerable
 from .errors import CarrierInfinite, EnumerationTooLarge
 
-DEFAULT_CARRIER_CAP = 10**6
 PAIR_TABLE_CAP = 25_000_000  # entries per N x N table
 
 
 class FiniteCarrier:
     """All elements of an algebra over F_p, indexed lexicographically."""
 
-    def __init__(self, algebra: Algebra, cap: int = DEFAULT_CARRIER_CAP):
+    def __init__(self, algebra: Algebra, cap: int = ENUMERATION_CAP):
         p = algebra.field.characteristic
         if p == 0:
             raise CarrierInfinite("algebras over the rationals have no finite carrier")
         d = algebra.dim
-        if p**d > cap:
-            raise EnumerationTooLarge(f"carrier size {p}^{d} exceeds cap {cap}")
+        check_enumerable(p, d, cap)
         self.algebra = algebra
         self.p = p
         self.dim = d
@@ -127,12 +125,10 @@ class FiniteCarrier:
         return mask
 
 
-def carrier_of(a: Algebra, cap: int = DEFAULT_CARRIER_CAP) -> FiniteCarrier:
+def carrier_of(a: Algebra, cap: int = ENUMERATION_CAP) -> FiniteCarrier:
     """The (cached) finite carrier of an algebra over a prime field."""
-    cached = a._carrier
-    if cached is None:
-        cached = FiniteCarrier(a, cap=cap)
-        a._carrier = cached
-    elif cached.size > cap:
-        raise EnumerationTooLarge(f"carrier size {cached.size} exceeds cap {cap}")
-    return cached
+    if a._carrier is None:
+        a._carrier = FiniteCarrier(a, cap=cap)
+    else:
+        check_enumerable(a._carrier.p, a.dim, cap)
+    return a._carrier

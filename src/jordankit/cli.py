@@ -86,7 +86,7 @@ def _tuple_text(elems) -> str:
 def _parse_field_spec(text: str):
     if text == "rational":
         return rational_field()
-    if text.startswith("p="):
+    if text.startswith("p=") and text[2:].isdecimal():
         return prime_field(int(text[2:]))
     raise JordankitError(f"bad field spec {text!r}: use 'rational' or 'p=<prime>'")
 
@@ -299,6 +299,19 @@ def _cmd_example(args) -> RunReport:
 # argument parsing
 
 
+def _above(kind, bound):
+    """An argparse type: a number of the given kind greater than bound."""
+
+    def parse(text):
+        value = kind(text)
+        if not value > bound:
+            raise argparse.ArgumentTypeError(f"must be > {bound}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jordankit",
@@ -354,9 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["maps", "derivations"], required=True)
-    p.add_argument("--budget-nodes", type=int, default=None)
-    p.add_argument("--budget-seconds", type=float, default=None)
-    p.add_argument("--budget-witnesses", type=int, default=None)
+    p.add_argument("--budget-nodes", type=_above(int, 0), default=None)
+    p.add_argument("--budget-seconds", type=_above(float, 0), default=None)
+    p.add_argument("--budget-witnesses", type=_above(int, -1), default=None)
     p.add_argument("--idempotent", default=None)
     p.set_defaults(fn=_cmd_audit)
 

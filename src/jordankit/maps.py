@@ -1,44 +1,56 @@
-"""Map and derivation tables plus the multiplicativity predicates.
+"""Map and derivation tables plus the predicates on them.
 
 Over a finite carrier, maps are total function tables (stored as index
-arrays) and every predicate is an exhaustive, vectorized scan with a
-deterministic first witness in lexicographic coordinate order.
+arrays); over the rationals only linear, matrix-backed maps are
+supported.
 
-The n-ary predicates (is_n_multiplicative, is_n_derivation) evaluate a
-monomial tree over broadcast index grids: slot s of an n-tuple is
-arange(N) laid along axis s, and a product is one flat take from the
-N x N multiplication table, whose result spans the outer product of the
-slots below it. A scan walks whole rows of the first slot at a time, so
-the first failing entry of a chunk in C order is the first lexicographic
-witness. For derivations every subtree is evaluated once; each of the n
-substitution terms d(x_i) then recomputes only the path from its leaf to
-the root.
+Every predicate is one identity over monomial trees, checked by one
+evaluator. A homomorphism identity says phi(m(x)) = m'(phi(x)): the
+n-ary monomials over the products for n-multiplicativity, x1 + x2 over
+the sums for additivity, and (x1 x2) x1 for Jordan semitriple maps. A
+derivation identity says d(m(x)) is the sum, over the leaf occurrences
+of m, of m with d applied at that leaf: the n-ary monomials for
+n-derivations, and (x1 x2) x1 for Jordan triple derivations. A slot may
+occur twice in a tree.
 
-Over the rationals only linear, matrix-backed maps are supported; the
-predicates then reduce to exact checks on basis tuples (with
-polarization where an identity is quadratic in one variable).
+A table runs on broadcast index grids: slot s of an n-tuple is arange(N)
+laid along axis s, and a product is one flat take from the N x N table,
+whose result spans the outer product of the slots below it. A scan walks
+whole rows of the first slot at a time, so the first failing entry of a
+chunk in C order is the first witness in lexicographic order. For
+derivations every subtree is evaluated once, and each summand recomputes
+only the path from its leaf to the root.
+
+A linear map over the rationals is additive outright and runs every
+other identity on basis tuples: a slot used once ranges over the basis,
+and a slot used twice, in which the identity is quadratic, over b_i and
+then b_i + b_j for i < j (polarization).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
+    ENUMERATION_CAP,
     Algebra,
     Element,
     Leaf,
+    Node,
     all_trees,
     canonical_tree,
-    commutator,
-    monomial_eval,
     mult_operators,
     multiply,
+    noncommuting_pair,
 )
-from .carrier import DEFAULT_CARRIER_CAP, FiniteCarrier, carrier_of
+from .carrier import FiniteCarrier, carrier_of
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
@@ -58,6 +70,10 @@ from .scalars import is_torsion_free
 
 DEFAULT_EVAL_BUDGET = 10**8
 _CHUNK = 1 << 20
+# the trees of additivity (x1 + x2, over the sum tables) and of the
+# Jordan semitriple forms
+_SUM = Node(Leaf(1), Leaf(2))
+_SEMITRIPLE = Node(Node(Leaf(1), Leaf(2)), Leaf(1))
 
 
 @dataclass
@@ -71,8 +87,6 @@ class Verdict:
 
 class FunctionTable:
     """A total map between algebra carriers, as a table, a matrix, or both."""
-
-    bijective_at_load = None  # set by the file loader
 
     def __init__(self, domain: Algebra, codomain: Algebra, table=None, matrix=None):
         if table is None and matrix is None:
@@ -130,18 +144,8 @@ class FunctionTable:
         return cls._construct(domain, codomain, matrix=matrix)
 
     @classmethod
-    def from_entries(cls, domain: Algebra, codomain: Algebra, pairs, cap=DEFAULT_CARRIER_CAP):
-        dom = carrier_of(domain, cap)
-        cod = carrier_of(codomain, cap)
-        table = np.full(dom.size, -1, dtype=np.int64)
-        for x, y in pairs:
-            i = dom.index_of(x)
-            if table[i] != -1:
-                raise FormatError(f"duplicate entry for carrier element {x!r}")
-            table[i] = cod.index_of(y)
-        if (table == -1).any():
-            missing = dom.element_at(int(np.argmax(table == -1)))
-            raise FormatError(f"table is not total: no entry for {missing!r}")
+    def from_entries(cls, domain: Algebra, codomain: Algebra, pairs, cap=ENUMERATION_CAP):
+        table = _table_from_pairs(carrier_of(domain, cap), carrier_of(codomain, cap), pairs)
         return cls._construct(domain, codomain, table=table)
 
     @classmethod
@@ -158,19 +162,16 @@ class FunctionTable:
 
     # -- basic access --------------------------------------------------------
 
-    def domain_carrier(self, cap=DEFAULT_CARRIER_CAP) -> FiniteCarrier:
+    def domain_carrier(self, cap=ENUMERATION_CAP) -> FiniteCarrier:
         return carrier_of(self.domain, cap)
 
-    def codomain_carrier(self, cap=DEFAULT_CARRIER_CAP) -> FiniteCarrier:
+    def codomain_carrier(self, cap=ENUMERATION_CAP) -> FiniteCarrier:
         return carrier_of(self.codomain, cap)
 
-    def index_table(self, cap=DEFAULT_CARRIER_CAP) -> np.ndarray:
+    def index_table(self, cap=ENUMERATION_CAP) -> np.ndarray:
         """The full index table, materializing it from the matrix if needed."""
         if self._table is None:
-            dom = self.domain_carrier(cap)
-            cod = self.codomain_carrier(cap)
-            out = (dom.coords @ self._int_matrix().T) % cod.p
-            self._table = (out @ cod.powers).astype(np.int64)
+            self._table = self._matrix_table(cap)
         return self._table
 
     def has_table(self) -> bool:
@@ -178,19 +179,16 @@ class FunctionTable:
             return True
         return self.matrix is not None and self.domain.field.characteristic != 0
 
-    def _int_matrix(self) -> np.ndarray:
-        return np.array([[int(c) for c in row] for row in self.matrix], dtype=np.int64)
+    def _matrix_table(self, cap=ENUMERATION_CAP) -> np.ndarray:
+        """The index table of the matrix over F_p."""
+        m = np.array([[int(c) for c in row] for row in self.matrix], dtype=np.int64)
+        return self.codomain_carrier(cap).encode(self.domain_carrier(cap).coords @ m.T)
 
     def _check_hint_consistency(self):
-        dom = self.domain_carrier()
-        cod = self.codomain_carrier()
-        out = (dom.coords @ self._int_matrix().T) % cod.p
-        hint = (out @ cod.powers).astype(np.int64)
+        hint = self._matrix_table()
         if not np.array_equal(hint, self._table):
-            bad = int(np.argmax(hint != self._table))
-            raise FormatError(
-                f"matrix and table disagree at carrier element {dom.element_at(bad)!r}"
-            )
+            bad = self.domain_carrier().element_at(int(np.argmax(hint != self._table)))
+            raise FormatError(f"matrix and table disagree at carrier element {bad!r}")
 
     def apply(self, x: Element) -> Element:
         if x.algebra is not self.domain:
@@ -202,7 +200,7 @@ class FunctionTable:
         cod = self.codomain_carrier()
         return cod.element_at(int(self._table[dom.index_of(x)]))
 
-    def entries(self, cap=DEFAULT_CARRIER_CAP):
+    def entries(self, cap=ENUMERATION_CAP):
         """Iterate (x, image) pairs over the finite carrier."""
         dom = self.domain_carrier(cap)
         cod = self.codomain_carrier(cap)
@@ -256,28 +254,7 @@ class DerivationTable(FunctionTable):
 
 
 # ---------------------------------------------------------------------------
-# predicate helpers
-
-
-def _require_route(t: FunctionTable):
-    if not t.has_table() and t.matrix is None:
-        raise CarrierInfinite("need a finite carrier or a matrix-backed map")
-
-
-def _commutative_or_raise(a: Algebra):
-    basis = a.basis_elements()
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            if not commutator(a, basis[i], basis[j]).is_zero():
-                raise NoncommutativeDomain(
-                    "predicate is only defined over commutative algebras"
-                )
-
-
-def _first_bad_pair(bad: np.ndarray) -> tuple[int, int]:
-    flat = int(np.argmax(bad))
-    n = bad.shape[1]
-    return flat // n, flat % n
+# the identity evaluator
 
 
 def _slot_grids(n: int, size: int, rows: slice) -> list[np.ndarray]:
@@ -291,44 +268,74 @@ def _slot_grids(n: int, size: int, rows: slice) -> list[np.ndarray]:
     return grids
 
 
-def _grid_eval(tree, leaves, mul: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """The value of tree with slot s set to the grid leaves[s - 1].
+def _table_op(table: np.ndarray):
+    """The operation of an N x N index table on broadcasting index arrays."""
+    size = table.shape[1]
+    return lambda x, y: table.take(x * size + y)
 
-    A product is one flat take from the multiplication table; it broadcasts
-    to the outer product of the slots below it. When memo is given, it
-    receives the value of every subtree.
+
+def _evaluate(tree, leaves, op, memo: dict | None = None):
+    """The value of tree with slot s set to leaves[s - 1] and op at every node.
+
+    On index grids a node is one flat take that broadcasts to the outer
+    product of the slots below it. When memo is given, it receives the
+    value of every subtree.
     """
     if isinstance(tree, Leaf):
         val = leaves[tree.slot - 1]
     else:
-        left = _grid_eval(tree.left, leaves, mul, memo)
-        right = _grid_eval(tree.right, leaves, mul, memo)
-        val = mul.take(left * mul.shape[1] + right)
+        val = op(_evaluate(tree.left, leaves, op, memo), _evaluate(tree.right, leaves, op, memo))
     if memo is not None:
         memo[tree] = val
     return val
 
 
-def _substituted(tree, memo: dict, subs, mul: np.ndarray):
-    """Yield tree's value with slot s set to subs[s - 1], one slot at a time.
+def _substituted(tree, memo: dict, subs, op):
+    """Yield tree's value with one leaf occurrence of slot s set to subs[s - 1].
 
-    Slots go left to right. Only the path from the substituted leaf to the
-    root is recomputed; every other subtree is read from memo (_grid_eval).
+    Occurrences go left to right. Only the path from the substituted leaf
+    to the root is recomputed; every other subtree is read from memo
+    (_evaluate).
     """
     if isinstance(tree, Leaf):
         yield subs[tree.slot - 1]
         return
-    size = mul.shape[1]
     right = memo[tree.right]
-    for val in _substituted(tree.left, memo, subs, mul):
-        yield mul.take(val * size + right)
+    for val in _substituted(tree.left, memo, subs, op):
+        yield op(val, right)
     left = memo[tree.left]
-    for val in _substituted(tree.right, memo, subs, mul):
-        yield mul.take(left * size + val)
+    for val in _substituted(tree.right, memo, subs, op):
+        yield op(left, val)
 
 
-def _check_budget(count: int, n: int, trees, budget: int) -> None:
-    total = count**n * len(trees)
+def _homomorphism(phi, op, cod_op):
+    """The kind phi(m(x)) = m'(phi(x)): m applies op at every node, m' cod_op."""
+
+    def mismatch(tree, leaves):
+        lhs = phi(_evaluate(tree, leaves, op))
+        return lhs != _evaluate(tree, [phi(x) for x in leaves], cod_op)
+
+    return mismatch
+
+
+def _derivation(d, mul, add):
+    """The kind d(m(x)) = the sum, over leaf occurrences, of m with d there."""
+
+    def mismatch(tree, leaves):
+        memo = {}
+        _evaluate(tree, leaves, mul, memo)
+        lhs = d(memo.pop(tree))  # the summands never read the root: free it
+        # a loop, not functools.reduce, which keeps the last summand and
+        # sum alive while the next summand is computed
+        rhs = None
+        for term in _substituted(tree, memo, [d(x) for x in leaves], mul):
+            rhs = term if rhs is None else add(rhs, term)
+        return lhs != rhs
+
+    return mismatch
+
+
+def _check_budget(total: int, budget: int) -> None:
     if total > budget:
         raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
 
@@ -352,6 +359,64 @@ def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
     return Verdict(True)
 
 
+def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool, budget: int) -> Verdict:
+    """The first (tree, args) of basis tuples at which a linear map fails.
+
+    Once the map is linear, each identity is linear in a slot used once, so
+    that slot ranges over the basis. It is quadratic in a slot used twice,
+    so that slot ranges over b_i and then b_i + b_j (i < j), which decide a
+    quadratic form (polarization). Trees go outermost.
+    """
+    a = t.domain
+    basis = a.basis_elements()
+    polarized = basis + [u + v for u, v in itertools.combinations(basis, 2)]
+    ranges = [
+        [basis if tree.slots.count(s) == 1 else polarized for s in range(1, n + 1)]
+        for tree in trees
+    ]
+    _check_budget(sum(math.prod(map(len, r)) for r in ranges), budget)
+    mul = functools.partial(multiply, a)
+    if derivation:
+        mismatch = _derivation(t.apply, mul, operator.add)
+    else:
+        mismatch = _homomorphism(t.apply, mul, functools.partial(multiply, t.codomain))
+    for tree, slot_ranges in zip(trees, ranges):
+        for args in itertools.product(*slot_ranges):
+            if mismatch(tree, args):
+                return Verdict(False, (tree, args))
+    return Verdict(True)
+
+
+def _check(t: FunctionTable, n: int, trees, derivation: bool, budget: int, cap: int) -> Verdict:
+    """The first (tree, args) at which t fails the identity of its kind.
+
+    A table runs on index grids over the carrier, a matrix over the
+    rationals on basis tuples.
+    """
+    if derivation and t.domain is not t.codomain:
+        raise AlgebraMismatch("a derivation needs codomain == domain")
+    if not t.has_table():
+        return _basis_scan(t, n, trees, derivation, budget)
+    dom = t.domain_carrier(cap)
+    _check_budget(dom.size**n * len(trees), budget)
+    kind = _derivation if derivation else _homomorphism
+    second = dom.add if derivation else t.codomain_carrier(cap).mul
+    mismatch = kind(t.index_table(cap).take, _table_op(dom.mul), _table_op(second))
+    return _grid_scan(dom, n, trees, mismatch)
+
+
+def _pair_witness(v: Verdict) -> Verdict:
+    """v with the tree dropped from its witness, leaving the pair (x, y)."""
+    return v if v.ok else Verdict(False, v.witness[1])
+
+
+def _semitriple(t: FunctionTable, derivation: bool, cap: int) -> Verdict:
+    """The identity of the kind on (x1 x2) x1, for a commutative domain."""
+    if noncommuting_pair(t.domain) is not None:
+        raise NoncommutativeDomain("predicate is only defined over commutative algebras")
+    return _pair_witness(_check(t, 2, [_SEMITRIPLE], derivation, DEFAULT_EVAL_BUDGET, cap))
+
+
 def _trees_for(n: int, tree_mode: str):
     if n < 2:
         raise ArityMismatch(f"multiplicativity degree must be >= 2, got {n}")
@@ -366,27 +431,17 @@ def _trees_for(n: int, tree_mode: str):
 # predicates
 
 
-def is_additive(t: FunctionTable, cap=DEFAULT_CARRIER_CAP) -> Verdict:
+def is_additive(t: FunctionTable, cap=ENUMERATION_CAP) -> Verdict:
     """phi(x + y) = phi(x) + phi(y) on every carrier pair."""
-    _require_route(t)
-    if t.has_table():
-        dom = t.domain_carrier(cap)
-        cod = t.codomain_carrier(cap)
-        phi = t.index_table(cap)
-        lhs = phi[dom.add]
-        rhs = cod.add[phi[:, None], phi[None, :]]
-        bad = lhs != rhs
-        if bad.any():
-            i, j = _first_bad_pair(bad)
-            return Verdict(False, (dom.element_at(i), dom.element_at(j)))
-        return Verdict(True)
-    # a matrix-backed map is linear, hence additive
-    return Verdict(True)
+    if not t.has_table():
+        return Verdict(True)  # a matrix-backed map is linear, hence additive
+    dom, cod = t.domain_carrier(cap), t.codomain_carrier(cap)
+    mismatch = _homomorphism(t.index_table(cap).take, _table_op(dom.add), _table_op(cod.add))
+    return _pair_witness(_grid_scan(dom, 2, [_SUM], mismatch))
 
 
-def is_bijective(t: FunctionTable, cap=DEFAULT_CARRIER_CAP) -> bool:
+def is_bijective(t: FunctionTable, cap=ENUMERATION_CAP) -> bool:
     """True iff the map is a bijection onto the codomain carrier."""
-    _require_route(t)
     if t.has_table():
         dom = t.domain_carrier(cap)
         cod = t.codomain_carrier(cap)
@@ -404,66 +459,15 @@ def is_n_multiplicative(
     n: int,
     tree_mode: str = "canonical",
     budget: int = DEFAULT_EVAL_BUDGET,
-    cap=DEFAULT_CARRIER_CAP,
+    cap=ENUMERATION_CAP,
 ) -> Verdict:
     """phi(m(x_1..x_n)) = m(phi(x_1)..phi(x_n)) for the selected monomials."""
-    _require_route(t)
-    trees = _trees_for(n, tree_mode)
-    if t.has_table():
-        dom = t.domain_carrier(cap)
-        cod = t.codomain_carrier(cap)
-        _check_budget(dom.size, n, trees, budget)
-        phi = t.index_table(cap)
-
-        def mismatch(tree, grids):
-            vals = _grid_eval(tree, grids, dom.mul)
-            imgs = _grid_eval(tree, [phi.take(g) for g in grids], cod.mul)
-            return phi.take(vals) != imgs
-
-        return _grid_scan(dom, n, trees, mismatch)
-    return _linear_n_multiplicative(t, n, trees, budget)
+    return _check(t, n, _trees_for(n, tree_mode), False, budget, cap)
 
 
-def _linear_n_multiplicative(t: FunctionTable, n: int, trees, budget: int) -> Verdict:
-    # Both sides are multilinear once the map is linear, so basis tuples decide.
-    dom, cod = t.domain, t.codomain
-    basis = dom.basis_elements()
-    _check_budget(len(basis), n, trees, budget)
-    for tree in trees:
-        for args in itertools.product(basis, repeat=n):
-            lhs = t.apply(monomial_eval(dom, tree, args))
-            rhs = monomial_eval(cod, tree, [t.apply(x) for x in args])
-            if lhs != rhs:
-                return Verdict(False, (tree, args))
-    return Verdict(True)
-
-
-def is_jordan_semitriple(t: FunctionTable, cap=DEFAULT_CARRIER_CAP) -> Verdict:
+def is_jordan_semitriple(t: FunctionTable, cap=ENUMERATION_CAP) -> Verdict:
     """phi((xy)x) = (phi(x)phi(y))phi(x) on a commutative domain."""
-    _require_route(t)
-    _commutative_or_raise(t.domain)
-    if t.has_table():
-        dom = t.domain_carrier(cap)
-        cod = t.codomain_carrier(cap)
-        phi = t.index_table(cap)
-        x_axis = np.arange(dom.size, dtype=np.int64)[:, None]
-        lhs = phi[dom.mul[dom.mul, x_axis]]
-        prod = cod.mul[phi[:, None], phi[None, :]]
-        rhs = cod.mul[prod, phi[:, None]]
-        bad = lhs != rhs
-        if bad.any():
-            i, j = _first_bad_pair(bad)
-            return Verdict(False, (dom.element_at(i), dom.element_at(j)))
-        return Verdict(True)
-    return _linear_quadratic_check(
-        t,
-        lambda x, y: t.apply(multiply(t.domain, multiply(t.domain, x, y), x)),
-        lambda x, y: multiply(
-            t.codomain,
-            multiply(t.codomain, t.apply(x), t.apply(y)),
-            t.apply(x),
-        ),
-    )
+    return _semitriple(t, False, cap)
 
 
 def is_n_derivation(
@@ -471,50 +475,13 @@ def is_n_derivation(
     n: int,
     tree_mode: str = "canonical",
     budget: int = DEFAULT_EVAL_BUDGET,
-    cap=DEFAULT_CARRIER_CAP,
+    cap=ENUMERATION_CAP,
 ) -> Verdict:
     """d(m(x...)) = sum_i m(x_1,..,d(x_i),..,x_n) for the selected monomials."""
-    _require_route(t)
-    if t.domain is not t.codomain:
-        raise AlgebraMismatch("a derivation needs codomain == domain")
-    trees = _trees_for(n, tree_mode)
-    if t.has_table():
-        dom = t.domain_carrier(cap)
-        _check_budget(dom.size, n, trees, budget)
-        dmap = t.index_table(cap)
-        mul, add = dom.mul, dom.add
-
-        def mismatch(tree, grids):
-            memo = {}
-            _grid_eval(tree, grids, mul, memo)
-            lhs = dmap.take(memo.pop(tree))
-            rhs = None
-            for term in _substituted(tree, memo, [dmap.take(g) for g in grids], mul):
-                rhs = term if rhs is None else add.take(rhs * dom.size + term)
-            return lhs != rhs
-
-        return _grid_scan(dom, n, trees, mismatch)
-    return _linear_n_derivation(t, n, trees, budget)
+    return _check(t, n, _trees_for(n, tree_mode), True, budget, cap)
 
 
-def _linear_n_derivation(t: DerivationTable, n: int, trees, budget: int) -> Verdict:
-    a = t.domain
-    basis = a.basis_elements()
-    _check_budget(len(basis), n, trees, budget)
-    for tree in trees:
-        for args in itertools.product(basis, repeat=n):
-            lhs = t.apply(monomial_eval(a, tree, args))
-            rhs = a.zero()
-            for i in range(n):
-                subbed = list(args)
-                subbed[i] = t.apply(args[i])
-                rhs = rhs + monomial_eval(a, tree, subbed)
-            if lhs != rhs:
-                return Verdict(False, (tree, args))
-    return Verdict(True)
-
-
-def is_jordan_triple_derivation(t: DerivationTable, cap=DEFAULT_CARRIER_CAP) -> Verdict:
+def is_jordan_triple_derivation(t: DerivationTable, cap=ENUMERATION_CAP) -> Verdict:
     """d((xy)x) = (d(x)y)x + (x d(y))x + (xy)d(x) on a commutative domain.
 
     Each summand substitutes d into one slot of (xy)x, keeping the
@@ -522,52 +489,7 @@ def is_jordan_triple_derivation(t: DerivationTable, cap=DEFAULT_CARRIER_CAP) -> 
     two applications of the product rule produce, and the one genuine
     derivations satisfy.
     """
-    _require_route(t)
-    _commutative_or_raise(t.domain)
-    a = t.domain
-    if t.has_table():
-        dom = t.domain_carrier(cap)
-        dmap = t.index_table(cap)
-        mul = dom.mul
-        add = dom.add
-        x_axis = np.arange(dom.size, dtype=np.int64)[:, None]
-        y_axis = np.arange(dom.size, dtype=np.int64)[None, :]
-        lhs = dmap[mul[mul, x_axis]]
-        t1 = mul[mul[dmap[:, None], y_axis], x_axis]
-        t2 = mul[mul[x_axis, dmap[None, :]], x_axis]
-        t3 = mul[mul, dmap[:, None]]
-        rhs = add[add[t1, t2], t3]
-        bad = lhs != rhs
-        if bad.any():
-            i, j = _first_bad_pair(bad)
-            return Verdict(False, (dom.element_at(i), dom.element_at(j)))
-        return Verdict(True)
-
-    def lhs_fn(x, y):
-        return t.apply(multiply(a, multiply(a, x, y), x))
-
-    def rhs_fn(x, y):
-        return (
-            multiply(a, multiply(a, t.apply(x), y), x)
-            + multiply(a, multiply(a, x, t.apply(y)), x)
-            + multiply(a, multiply(a, x, y), t.apply(x))
-        )
-
-    return _linear_quadratic_check(t, lhs_fn, rhs_fn)
-
-
-def _linear_quadratic_check(t: FunctionTable, lhs_fn, rhs_fn) -> Verdict:
-    # Identities quadratic in x and linear in y hold everywhere iff they hold
-    # for x in {b_i} and {b_i + b_j} with y over the basis (polarization).
-    basis = t.domain.basis_elements()
-    xs = list(basis) + [
-        basis[i] + basis[j] for i in range(len(basis)) for j in range(i + 1, len(basis))
-    ]
-    for x in xs:
-        for y in basis:
-            if lhs_fn(x, y) != rhs_fn(x, y):
-                return Verdict(False, (x, y))
-    return Verdict(True)
+    return _semitriple(t, True, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +526,7 @@ def reduce_derivation(
     n: int,
     decomposition: PeirceDecomposition | None = None,
     budget: int = DEFAULT_EVAL_BUDGET,
-    cap=DEFAULT_CARRIER_CAP,
+    cap=ENUMERATION_CAP,
 ) -> DerivationTable:
     """The reduced derivation x -> D_{d(e),4e}(x) - 3 d(x), vanishing at e.
 
@@ -650,7 +572,7 @@ def reduce_derivation(
 
 
 def derivation_peirce_check(
-    delta: DerivationTable, dec: PeirceDecomposition, cap=DEFAULT_CARRIER_CAP
+    delta: DerivationTable, dec: PeirceDecomposition, cap=ENUMERATION_CAP
 ) -> Verdict:
     """True iff delta maps every Peirce component into itself."""
     a = delta.domain
@@ -683,7 +605,7 @@ def derivation_peirce_check(
 # map-table file format
 
 
-def map_table_to_dict(t: FunctionTable, cap=DEFAULT_CARRIER_CAP) -> dict:
+def map_table_to_dict(t: FunctionTable, cap=ENUMERATION_CAP) -> dict:
     from .algebra import algebra_to_dict
 
     data = {
@@ -700,12 +622,40 @@ def map_table_to_dict(t: FunctionTable, cap=DEFAULT_CARRIER_CAP) -> dict:
     return data
 
 
+def _entry_pairs(entries, dom: Algebra, cod: Algebra):
+    """The (x, y) element pairs of a map file's [{"in": x, "out": y}, ...]."""
+    if not isinstance(entries, list):
+        raise FormatError(f"map 'entries' must be a list, got {entries!r}")
+    for entry in entries:
+        try:
+            x_text, y_text = entry["in"], entry["out"]
+        except (TypeError, KeyError) as exc:
+            raise FormatError(f"map entry {entry!r} needs 'in' and 'out'") from exc
+        if not (isinstance(x_text, str) and isinstance(y_text, str)):
+            raise FormatError(f"map entry {entry!r}: 'in' and 'out' must be strings")
+        yield dom.parse_element(x_text), cod.parse_element(y_text)
+
+
+def _table_from_pairs(dom: FiniteCarrier, cod: FiniteCarrier, pairs) -> np.ndarray:
+    """The index table of (x, y) pairs; each carrier element needs one pair."""
+    table = np.full(dom.size, -1, dtype=np.int64)
+    for x, y in pairs:
+        i = dom.index_of(x)
+        if table[i] != -1:
+            raise FormatError(f"duplicate map entry for {x!r}")
+        table[i] = cod.index_of(y)
+    if (table == -1).any():
+        missing = dom.element_at(int(np.argmax(table == -1)))
+        raise FormatError(f"map table is not total: no entry for {missing!r}")
+    return table
+
+
 def map_table_from_dict(
     data: dict,
     domain: Algebra | None = None,
     codomain: Algebra | None = None,
     base_dir=None,
-    cap=DEFAULT_CARRIER_CAP,
+    cap=ENUMERATION_CAP,
 ) -> MapTable:
     """Load a map table; explicit algebras override the file's own."""
     from .algebra import algebra_from_dict, load_algebra
@@ -732,41 +682,24 @@ def map_table_from_dict(
         cod = dom
     matrix = None
     if "matrix" in data:
-        f = dom.field
-        matrix = [[f.parse(str(c)) for c in row] for row in data["matrix"]]
+        rows = data["matrix"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise FormatError(f"map 'matrix' must be a list of rows, got {rows!r}")
+        matrix = [[dom.field.parse(str(c)) for c in row] for row in rows]
     table = None
     if "entries" in data:
         if dom.field.characteristic == 0:
             raise CarrierInfinite(
                 "explicit entries need a finite carrier; use a matrix over the rationals"
             )
-        dcar = carrier_of(dom, cap)
-        ccar = carrier_of(cod, cap)
-        table = np.full(dcar.size, -1, dtype=np.int64)
-        for entry in data["entries"]:
-            try:
-                x_text, y_text = entry["in"], entry["out"]
-            except (TypeError, KeyError) as exc:
-                raise FormatError(f"map entry {entry!r} needs 'in' and 'out'") from exc
-            if not (isinstance(x_text, str) and isinstance(y_text, str)):
-                raise FormatError(f"map entry {entry!r}: 'in' and 'out' must be strings")
-            x = dom.parse_element(x_text)
-            y = cod.parse_element(y_text)
-            i = dcar.index_of(x)
-            if table[i] != -1:
-                raise FormatError(f"duplicate map entry for {x_text!r}")
-            table[i] = ccar.index_of(y)
-        if (table == -1).any():
-            missing = dcar.element_at(int(np.argmax(table == -1)))
-            raise FormatError(f"map table is not total: no entry for {missing!r}")
+        pairs = _entry_pairs(data["entries"], dom, cod)
+        table = _table_from_pairs(carrier_of(dom, cap), carrier_of(cod, cap), pairs)
     if matrix is None and table is None:
         raise FormatError("map file needs 'entries' or 'matrix'")
-    t = MapTable(dom, cod, table=table, matrix=matrix)
-    t.bijective_at_load = is_bijective(t, cap) if t.has_table() or t.matrix is not None else None
-    return t
+    return MapTable(dom, cod, table=table, matrix=matrix)
 
 
-def load_map_table(path, domain=None, codomain=None, cap=DEFAULT_CARRIER_CAP) -> MapTable:
+def load_map_table(path, domain=None, codomain=None, cap=ENUMERATION_CAP) -> MapTable:
     import os
 
     with open(path, "r", encoding="utf-8") as fh:
@@ -779,7 +712,7 @@ def load_map_table(path, domain=None, codomain=None, cap=DEFAULT_CARRIER_CAP) ->
     )
 
 
-def save_map_table(t: FunctionTable, path, cap=DEFAULT_CARRIER_CAP) -> None:
+def save_map_table(t: FunctionTable, path, cap=ENUMERATION_CAP) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(map_table_to_dict(t, cap), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,12 +14,14 @@ import itertools
 from dataclasses import dataclass, field as dataclass_field
 
 from .algebra import (
+    ENUMERATION_CAP,
     Algebra,
     Element,
-    commutator,
+    check_enumerable,
     identity_element,
     mult_operators,
     multiply,
+    noncommuting_pair,
 )
 from .errors import (
     AlgebraMismatch,
@@ -64,7 +66,7 @@ class IdempotentHit:
     classification: str
 
 
-def find_idempotents(a: Algebra, mode: str = "heuristic", extra=(), cap: int = 10**6):
+def find_idempotents(a: Algebra, mode: str = "heuristic", extra=(), cap: int = ENUMERATION_CAP):
     """Nonzero solutions of e*e = e, lexicographically sorted by coordinates.
 
     Exhaustive mode scans the whole finite carrier; heuristic mode tests
@@ -76,8 +78,7 @@ def find_idempotents(a: Algebra, mode: str = "heuristic", extra=(), cap: int = 1
         p = f.characteristic
         if p == 0:
             raise ModeUnsupported("exhaustive idempotent search needs a finite field")
-        if p**a.dim > cap:
-            raise EnumerationTooLarge(f"carrier size {p}^{a.dim} exceeds cap {cap}")
+        check_enumerable(p, a.dim, cap)
         for coords in itertools.product(range(p), repeat=a.dim):
             e = Element(a, coords)
             if not e.is_zero() and multiply(a, e, e) == e:
@@ -168,15 +169,11 @@ def peirce_decompose(
     cls = idempotent_class(a, e)
     if cls != "nontrivial":
         raise NotIdempotent(f"need a nontrivial idempotent, got {cls}")
-    if not allow_noncommutative:
-        basis = a.basis_elements()
-        for i in range(a.dim):
-            for j in range(i + 1, a.dim):
-                if not commutator(a, basis[i], basis[j]).is_zero():
-                    raise NoncommutativeDomain(
-                        "algebra is noncommutative; pass allow_noncommutative=True "
-                        "to decompose with the symmetrized operator"
-                    )
+    if not allow_noncommutative and noncommuting_pair(a) is not None:
+        raise NoncommutativeDomain(
+            "algebra is noncommutative; pass allow_noncommutative=True "
+            "to decompose with the symmetrized operator"
+        )
     left, right = mult_operators(a, e)
     half = f.inv(f.from_int(2))
     d = a.dim

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Element
-from .carrier import DEFAULT_CARRIER_CAP, carrier_of
+from .algebra import ENUMERATION_CAP, Algebra, Element
+from .carrier import carrier_of
 from .errors import ArityMismatch, CarrierSizeMismatch, PreconditionViolated
 from .maps import DerivationTable, MapTable, is_additive, is_n_derivation, is_n_multiplicative
 from .peirce import PeirceDecomposition, check_theorem_conditions
@@ -359,7 +359,7 @@ def enumerate_multiplicative_bijections(
     n: int,
     budget: SearchBudget | None = None,
     tree_mode: str = "canonical",
-    cap: int = DEFAULT_CARRIER_CAP,
+    cap: int = ENUMERATION_CAP,
 ) -> MultiplicativeBijectionSearch:
     """Depth-first enumeration of n-multiplicative bijections; iterate to run."""
     return MultiplicativeBijectionSearch(domain, codomain, n, budget, cap, tree_mode)
@@ -372,7 +372,7 @@ def enumerate_n_derivations(
     idempotent: Element | None = None,
     decomposition: PeirceDecomposition | None = None,
     tree_mode: str = "canonical",
-    cap: int = DEFAULT_CARRIER_CAP,
+    cap: int = ENUMERATION_CAP,
 ) -> DerivationSearch:
     """Depth-first enumeration of tables satisfying the n-derivation identity.
 

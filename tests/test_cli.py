@@ -242,3 +242,37 @@ def test_report_determinism(files, capsys):
         run(argv)
         second = output_of(capsys)
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "data", [{"entries": 5}, {"matrix": 5}, {"matrix": [5, 5, 5, 5]}]
+)
+def test_malformed_map_file_exits_2(files, tmp_path, capsys, data):
+    map_path = tmp_path / "malformed.map"
+    map_path.write_text(json.dumps(data))
+    report = run(["check-derivation", files["k_f3"], str(map_path), "--n", "2"])
+    assert report.exit_code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["products", "basis"])
+def test_malformed_algebra_file_exits_2(files, tmp_path, key):
+    data = json.loads(open(files["k_q"]).read())
+    data[key] = 5
+    path = tmp_path / "malformed.alg"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]).exit_code == 2
+
+
+def test_non_numeric_field_spec_exits_2(tmp_path):
+    report = run(["example", "m2", "--field", "p=abc", "--out", str(tmp_path / "x.alg")])
+    assert report.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "flag", [["--budget-nodes", "0"], ["--budget-seconds", "-1"], ["--budget-witnesses", "-1"]]
+)
+def test_audit_bad_budget_exits_2(files, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(["audit", files["k_f3"], "--n", "2", "--mode", "maps", *flag])
+    assert exc.value.code == 2

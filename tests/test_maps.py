@@ -190,6 +190,16 @@ def test_semitriple_negation_linear_route(kq):
     assert is_jordan_semitriple(scaling_map(kq, -1)).ok
 
 
+def test_semitriple_linear_witness_at_basis_sum(kq):
+    # phi keeps the e00 coordinate, negated: phi((xy)x) = (phi(x)phi(y))phi(x)
+    # holds for every basis x, so only the polarized x = b_i + b_j find it
+    f = kq.field
+    matrix = [[f.zero()] * 4 for _ in range(4)]
+    matrix[3][3] = f.from_int(-1)
+    b = kq.basis_elements()
+    assert is_jordan_semitriple(MapTable.from_matrix(kq, kq, matrix)).witness == (b[0] + b[1], b[2])
+
+
 def test_semitriple_noncommutative_rejected(m2f3):
     with pytest.raises(NoncommutativeDomain):
         is_jordan_semitriple(MapTable.identity(m2f3))
@@ -460,6 +470,51 @@ def test_grid_scan_in_row_chunks(monkeypatch, f3xf3, kind, rows):
     assert verdict.witness == failure == unchunked.witness
 
 
+# each pair predicate's docstring formula, on Elements
+PAIR_IDENTITIES = {
+    is_additive: lambda t, x, y: t.apply(x + y) == t.apply(x) + t.apply(y),
+    is_jordan_semitriple: lambda t, x, y: t.apply((x * y) * x)
+    == (t.apply(x) * t.apply(y)) * t.apply(x),
+    is_jordan_triple_derivation: lambda t, x, y: t.apply((x * y) * x)
+    == (t.apply(x) * y) * x + (x * t.apply(y)) * x + (x * y) * t.apply(x),
+}
+
+
+def first_pair_failure(t, identity):
+    """The first carrier pair (x, y), in lexicographic order, where identity fails."""
+    dom = t.domain_carrier()
+    elems = [dom.element_at(i) for i in range(dom.size)]
+    for x in elems:
+        for y in elems:
+            if not identity(t, x, y):
+                return (x, y)
+    return None
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data(), st.sampled_from(list(PAIR_IDENTITIES)))
+def test_pair_predicates_match_reference(data, predicate):
+    algebra = data.draw(f3_algebras(commutative=True))
+    size = 3**algebra.dim
+    base = data.draw(st.sampled_from(["zero", "identity", "linear", "random"]))
+    if base == "random":
+        values = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        table = np.array(values, dtype=np.int64)
+    elif base == "linear":  # additive, so a wrong entry is the only failure
+        d = algebra.dim
+        coeffs = data.draw(st.lists(st.integers(0, 2), min_size=d * d, max_size=d * d))
+        table = carrier_of(algebra).apply_matrix(np.reshape(coeffs, (d, d)))
+    else:
+        table = np.zeros(size, dtype=np.int64) if base == "zero" else np.arange(size)
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, size - 1))
+        table[i] = data.draw(st.integers(0, size - 1))
+    t = DerivationTable(algebra, table=table)
+    verdict = predicate(t)
+    failure = first_pair_failure(t, PAIR_IDENTITIES[predicate])
+    assert (verdict.ok, verdict.witness) == (failure is None, failure)
+
+
 # ---------------------------------------------------------------------------
 # the table route against the linear route
 
@@ -494,15 +549,22 @@ def linear_route_cases(name, algebra):
 def test_table_route_matches_linear_route(request, name, n):
     budget = maps_module.DEFAULT_EVAL_BUDGET
     for t, mult, der in linear_route_cases(name, request.getfixturevalue(name)):
-        assert t.has_table() and t.matrix is not None  # is_n_* take the table route
+        assert t.has_table() and t.matrix is not None  # the predicates take the table route
         for mode in ("canonical", "all_trees"):
             trees = maps_module._trees_for(n, mode)
-            linear = maps_module._linear_n_multiplicative(t, n, trees, budget).ok
+            linear = maps_module._basis_scan(t, n, trees, False, budget).ok
             assert is_n_multiplicative(t, n, tree_mode=mode).ok == linear
             assert mult is None or linear == mult
-            linear = maps_module._linear_n_derivation(t, n, trees, budget).ok
+            linear = maps_module._basis_scan(t, n, trees, True, budget).ok
             assert is_n_derivation(t, n, tree_mode=mode).ok == linear
             assert der is None or linear == der
+        if name == "kf3":  # the semitriple predicates need a commutative domain
+            linear = maps_module._basis_scan(t, 2, [maps_module._SEMITRIPLE], False, budget)
+            assert is_jordan_semitriple(t).ok == linear.ok
+            assert not mult or linear.ok  # a 2-multiplicative map is a semitriple map
+            linear = maps_module._basis_scan(t, 2, [maps_module._SEMITRIPLE], True, budget)
+            assert is_jordan_triple_derivation(t).ok == linear.ok
+            assert not der or linear.ok  # a derivation is a triple derivation
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +656,7 @@ def test_map_file_roundtrip_entries(tmp_path, kf3):
     save_map_table(t_table, path)
     back = load_map_table(path, domain=kf3, codomain=kf3)
     assert np.array_equal(back.index_table(), t_table.index_table())
-    assert back.bijective_at_load is True
+    assert is_bijective(back) is True
 
 
 def test_map_file_roundtrip_matrix(tmp_path, kq):
@@ -649,5 +711,5 @@ def test_nonbijective_table_loads_with_flag(kf3):
         {"in": x.text(), "out": kf3.zero().text()} for x, _ in MapTable.identity(kf3).entries()
     ]
     t = map_table_from_dict({"entries": zero_entries}, domain=kf3, codomain=kf3)
-    assert t.bijective_at_load is False
+    assert is_bijective(t) is False
     assert is_additive(t).ok
