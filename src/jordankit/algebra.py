@@ -588,6 +588,12 @@ def algebra_from_dict(data: dict) -> Algebra:
     basis = data["basis"]
     if not isinstance(basis, list) or len(basis) != dim:
         raise FormatError(f"basis must be a list of dim={dim} names, got {basis!r}")
+    for b in basis:
+        if not isinstance(b, str):
+            raise FormatError(f"basis name {b!r} must be a string")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        raise FormatError(f"name must be a string, got {name!r}")
     if not isinstance(data["products"], list):
         raise FormatError(f"products must be a list, got {data['products']!r}")
     zero = f.zero()
@@ -604,7 +610,7 @@ def algebra_from_dict(data: dict) -> Algebra:
             raise FormatError(f"duplicate product entry for ({i},{j},{k})")
         seen.add((i, j, k))
         table[i][j][k] = f.parse(str(c))
-    return Algebra(f, basis, table, name=data.get("name", ""))
+    return Algebra(f, basis, table, name=name)
 
 
 def save_algebra(a: Algebra, path) -> None:

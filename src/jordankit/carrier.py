@@ -96,12 +96,6 @@ class FiniteCarrier:
 
     # -- derived views -----------------------------------------------------
 
-    def apply_matrix(self, matrix) -> np.ndarray:
-        """Index image of a linear map given by an exact d x d matrix."""
-        m = np.array([[int(c) for c in row] for row in matrix], dtype=np.int64)
-        out = (self.coords @ m.T) % self.p
-        return (out @ self.powers).astype(np.int64)
-
     def scalar_map(self, c) -> np.ndarray:
         """Index image of scalar multiplication by c."""
         out = (self.coords * (int(c) % self.p)) % self.p

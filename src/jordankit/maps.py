@@ -13,18 +13,26 @@ of m, of m with d applied at that leaf: the n-ary monomials for
 n-derivations, and (x1 x2) x1 for Jordan triple derivations. A slot may
 occur twice in a tree.
 
-A table runs on broadcast index grids: slot s of an n-tuple is arange(N)
-laid along axis s, and a product is one flat take from the N x N table,
-whose result spans the outer product of the slots below it. A scan walks
-whole rows of the first slot at a time, so the first failing entry of a
-chunk in C order is the first witness in lexicographic order. For
-derivations every subtree is evaluated once, and each summand recomputes
-only the path from its leaf to the root.
+Both kinds run on any values: on Elements, and on broadcast index grids,
+where slot s of an n-tuple is an index array laid along axis s and a
+product is one flat take from the N x N table, whose result spans the
+outer product of the slots below it. For derivations every subtree is
+evaluated once, and each summand recomputes only the path from its leaf
+to the root.
 
-A linear map over the rationals is additive outright and runs every
-other identity on basis tuples: a slot used once ranges over the basis,
-and a slot used twice, in which the identity is quadratic, over b_i and
-then b_i + b_j for i < j (polarization).
+A table over F_p is decided on generators and basis tuples. It is
+additive exactly when phi(x + g) = phi(x) + phi(g) for every carrier x
+and every g in {0} and the basis, one N x (d + 1) grid. An additive map
+over F_p is linear, and a linear map passes an identity exactly when it
+passes on basis tuples: a slot used once ranges over the basis, and a
+slot used twice, in which the identity is quadratic, over b_i and then
+b_i + b_j for i < j (polarization). A linear map over the rationals is
+additive outright and takes the same basis tuples, on Elements.
+
+The full scan of every carrier n-tuple runs only when one of those
+checks fails, and then it alone gives the verdict and the witness. It
+walks whole rows of the first slot at a time, so the first failing entry
+of a chunk in C order is the first witness in lexicographic order.
 """
 
 from __future__ import annotations
@@ -94,6 +102,8 @@ class FunctionTable:
         if matrix is not None:
             if domain.field != codomain.field:
                 raise AlgebraMismatch("matrix-backed maps need a common field")
+            if not (isinstance(matrix, list) and all(isinstance(r, list) for r in matrix)):
+                raise FormatError(f"matrix must be a list of rows, got {matrix!r}")
             if len(matrix) != codomain.dim or any(len(r) != domain.dim for r in matrix):
                 raise FormatError(
                     f"matrix must be {codomain.dim} x {domain.dim}"
@@ -257,15 +267,27 @@ class DerivationTable(FunctionTable):
 # the identity evaluator
 
 
-def _slot_grids(n: int, size: int, rows: slice) -> list[np.ndarray]:
-    """Slot s of an n-tuple as arange(size) along axis s - 1; slot 1 keeps rows."""
-    values = np.arange(size, dtype=np.int64)
+def _slot_grids(slots: list[np.ndarray]) -> list[np.ndarray]:
+    """Index array slots[s - 1] laid along axis s - 1 of an n-tuple grid."""
+    n = len(slots)
     grids = []
-    for axis in range(n):
+    for axis, values in enumerate(slots):
         shape = [1] * n
         shape[axis] = -1
-        grids.append((values[rows] if axis == 0 else values).reshape(shape))
+        grids.append(values.reshape(shape))
     return grids
+
+
+def _slot_candidates(tree, n: int, basis: list, add) -> list[list]:
+    """The values each slot of tree ranges over when the map is linear.
+
+    The identity is linear in a slot used once, so that slot ranges over
+    the basis. It is quadratic in a slot used twice, so that slot ranges
+    over b_i and then add(b_i, b_j) for i < j, which decide a quadratic
+    form (polarization).
+    """
+    polarized = basis + [add(u, v) for u, v in itertools.combinations(basis, 2)]
+    return [basis if tree.slots.count(s) == 1 else polarized for s in range(1, n + 1)]
 
 
 def _table_op(table: np.ndarray):
@@ -348,10 +370,11 @@ def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
     C-order argmax of a chunk is the first witness in it.
     """
     size = dom.size
+    values = np.arange(size, dtype=np.int64)
     rows = max(1, _CHUNK // size ** (n - 1))
     for tree in trees:
         for start in range(0, size, rows):
-            bad = mismatch(tree, _slot_grids(n, size, slice(start, start + rows)))
+            bad = mismatch(tree, _slot_grids([values[start : start + rows]] + [values] * (n - 1)))
             if bad.any():
                 first = np.unravel_index(int(np.argmax(bad)), bad.shape)
                 idxs = (start + int(first[0]), *(int(i) for i in first[1:]))
@@ -359,21 +382,31 @@ def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
     return Verdict(True)
 
 
+def _sum_identity(t: FunctionTable, cap: int):
+    """The domain carrier and the additivity identity of t on x1 + x2."""
+    dom, cod = t.domain_carrier(cap), t.codomain_carrier(cap)
+    return dom, _homomorphism(t.index_table(cap).take, _table_op(dom.add), _table_op(cod.add))
+
+
+def _additive_on_generators(t: FunctionTable, cap: int) -> bool:
+    """phi(x + g) = phi(x) + phi(g) for every carrier x and g in {0} and the basis.
+
+    This decides additivity: generators of the additive group suffice, and
+    g = 0 forces phi(0) = 0, which the basis alone does not when dim = 0.
+    """
+    dom, mismatch = _sum_identity(t, cap)
+    generators = [dom.zero_index] + [dom.basis_index(i) for i in range(dom.dim)]
+    slots = [np.arange(dom.size, dtype=np.int64), np.array(generators, dtype=np.int64)]
+    return not mismatch(_SUM, _slot_grids(slots)).any()
+
+
 def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool, budget: int) -> Verdict:
     """The first (tree, args) of basis tuples at which a linear map fails.
 
-    Once the map is linear, each identity is linear in a slot used once, so
-    that slot ranges over the basis. It is quadratic in a slot used twice,
-    so that slot ranges over b_i and then b_i + b_j (i < j), which decide a
-    quadratic form (polarization). Trees go outermost.
+    Trees go outermost, then the basis tuples of _slot_candidates.
     """
     a = t.domain
-    basis = a.basis_elements()
-    polarized = basis + [u + v for u, v in itertools.combinations(basis, 2)]
-    ranges = [
-        [basis if tree.slots.count(s) == 1 else polarized for s in range(1, n + 1)]
-        for tree in trees
-    ]
+    ranges = [_slot_candidates(tree, n, a.basis_elements(), operator.add) for tree in trees]
     _check_budget(sum(math.prod(map(len, r)) for r in ranges), budget)
     mul = functools.partial(multiply, a)
     if derivation:
@@ -390,8 +423,11 @@ def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool, budget: int) 
 def _check(t: FunctionTable, n: int, trees, derivation: bool, budget: int, cap: int) -> Verdict:
     """The first (tree, args) at which t fails the identity of its kind.
 
-    A table runs on index grids over the carrier, a matrix over the
-    rationals on basis tuples.
+    A matrix over the rationals runs on basis tuples. A table is decided
+    on index grids: an additive table over F_p is linear, so it passes
+    when it passes on the basis tuples of _slot_candidates; any other
+    table, and a failing one for its first witness, is scanned over every
+    carrier tuple.
     """
     if derivation and t.domain is not t.codomain:
         raise AlgebraMismatch("a derivation needs codomain == domain")
@@ -402,6 +438,14 @@ def _check(t: FunctionTable, n: int, trees, derivation: bool, budget: int, cap: 
     kind = _derivation if derivation else _homomorphism
     second = dom.add if derivation else t.codomain_carrier(cap).mul
     mismatch = kind(t.index_table(cap).take, _table_op(dom.mul), _table_op(second))
+    if _additive_on_generators(t, cap):
+        basis = [dom.basis_index(i) for i in range(dom.dim)]
+        for tree in trees:
+            slots = _slot_candidates(tree, n, basis, _table_op(dom.add))
+            if mismatch(tree, _slot_grids([np.array(c, dtype=np.int64) for c in slots])).any():
+                break
+        else:
+            return Verdict(True)
     return _grid_scan(dom, n, trees, mismatch)
 
 
@@ -435,8 +479,9 @@ def is_additive(t: FunctionTable, cap=ENUMERATION_CAP) -> Verdict:
     """phi(x + y) = phi(x) + phi(y) on every carrier pair."""
     if not t.has_table():
         return Verdict(True)  # a matrix-backed map is linear, hence additive
-    dom, cod = t.domain_carrier(cap), t.codomain_carrier(cap)
-    mismatch = _homomorphism(t.index_table(cap).take, _table_op(dom.add), _table_op(cod.add))
+    if _additive_on_generators(t, cap):
+        return Verdict(True)
+    dom, mismatch = _sum_identity(t, cap)
     return _pair_witness(_grid_scan(dom, 2, [_SUM], mismatch))
 
 

@@ -17,8 +17,10 @@ to two images, or, for bijections, when an image is taken twice. The
 closure is a least fixpoint and a conflict is a property of the closed
 set, so neither depends on the order of computation.
 
-Emitted tables are re-verified by the maps-module predicates before they
-are yielded, so the stream is sound independently of the pruning logic.
+Each complete table is re-verified by the maps-module predicate of its
+kind and yielded only if it passes, so the stream is sound independently
+of the pruning logic. An additive table is decided on generators and
+basis tuples, not on every carrier tuple (see maps).
 """
 
 from __future__ import annotations

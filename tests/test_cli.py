@@ -264,6 +264,16 @@ def test_malformed_algebra_file_exits_2(files, tmp_path, key):
     assert run(["check", str(path)]).exit_code == 2
 
 
+@pytest.mark.parametrize("key, value", [("basis", [1, 2, 3, 4]), ("name", 5)])
+def test_algebra_file_with_non_string_names_exits_2(files, tmp_path, capsys, key, value):
+    data = json.loads(open(files["k_q"]).read())
+    data[key] = value
+    path = tmp_path / "malformed.alg"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]).exit_code == 2
+    assert "must be a string" in capsys.readouterr().err
+
+
 def test_non_numeric_field_spec_exits_2(tmp_path):
     report = run(["example", "m2", "--field", "p=abc", "--out", str(tmp_path / "x.alg")])
     assert report.exit_code == 2

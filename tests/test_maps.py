@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -470,6 +471,13 @@ def test_grid_scan_in_row_chunks(monkeypatch, f3xf3, kind, rows):
     assert verdict.witness == failure == unchunked.witness
 
 
+def linear_table(algebra, coeffs):
+    """The index table of the d x d matrix over F3 with row-major coeffs."""
+    d = algebra.dim
+    matrix = [[algebra.field.from_int(c) for c in coeffs[i * d : (i + 1) * d]] for i in range(d)]
+    return MapTable.from_matrix(algebra, algebra, matrix).index_table()
+
+
 # each pair predicate's docstring formula, on Elements
 PAIR_IDENTITIES = {
     is_additive: lambda t, x, y: t.apply(x + y) == t.apply(x) + t.apply(y),
@@ -503,7 +511,7 @@ def test_pair_predicates_match_reference(data, predicate):
     elif base == "linear":  # additive, so a wrong entry is the only failure
         d = algebra.dim
         coeffs = data.draw(st.lists(st.integers(0, 2), min_size=d * d, max_size=d * d))
-        table = carrier_of(algebra).apply_matrix(np.reshape(coeffs, (d, d)))
+        table = linear_table(algebra, coeffs)
     else:
         table = np.zeros(size, dtype=np.int64) if base == "zero" else np.arange(size)
     if data.draw(st.booleans()):
@@ -565,6 +573,69 @@ def test_table_route_matches_linear_route(request, name, n):
             linear = maps_module._basis_scan(t, 2, [maps_module._SEMITRIPLE], True, budget)
             assert is_jordan_triple_derivation(t).ok == linear.ok
             assert not der or linear.ok  # a derivation is a triple derivation
+
+
+# ---------------------------------------------------------------------------
+# the generator and basis decision against the full carrier scan
+
+
+def full_scan(check, t):
+    """check(t) with the generator check forced off: every table is scanned in full."""
+    with mock.patch.object(maps_module, "_additive_on_generators", lambda t, cap: False):
+        return check(t)
+
+
+def fast_route_checks(n, tree_mode):
+    """The five predicates, each as a one-argument check."""
+    return {
+        "multiplicative": lambda t: is_n_multiplicative(t, n, tree_mode=tree_mode),
+        "derivation": lambda t: is_n_derivation(t, n, tree_mode=tree_mode),
+        "additive": is_additive,
+        "semitriple": is_jordan_semitriple,
+        "triple_derivation": is_jordan_triple_derivation,
+    }
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    st.data(),
+    st.sampled_from([2, 3]),
+    st.sampled_from(["canonical", "all_trees"]),
+    st.sampled_from(["multiplicative", "derivation", "additive", "semitriple", "triple_derivation"]),
+)
+def test_fast_route_matches_full_scan(data, n, tree_mode, predicate):
+    commutative = True if predicate in ("semitriple", "triple_derivation") else None
+    algebra = data.draw(f3_algebras(commutative=commutative))
+    d, size = algebra.dim, 3**algebra.dim
+    base = data.draw(st.sampled_from(["linear", "overwritten", "random"]))
+    if base == "random":
+        values = data.draw(st.lists(st.integers(0, size - 1), min_size=size, max_size=size))
+        table = np.array(values, dtype=np.int64)
+    else:
+        coeffs = data.draw(st.lists(st.integers(0, 2), min_size=d * d, max_size=d * d))
+        table = linear_table(algebra, coeffs)
+        if base == "overwritten":
+            table[data.draw(st.integers(0, size - 1))] = data.draw(st.integers(0, size - 1))
+    t = DerivationTable(algebra, table=table)
+    check = fast_route_checks(n, tree_mode)[predicate]
+    fast, slow = check(t), full_scan(check, t)
+    assert (fast.ok, fast.witness) == (slow.ok, slow.witness)
+    additive = maps_module._additive_on_generators(t, maps_module.ENUMERATION_CAP)
+    assert additive == full_scan(is_additive, t).ok
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_table_semitriple_witness_at_basis_sum(kf3, sign):
+    # x -> +-x_e00 e00 passes (xy)x on every basis pair; only the polarized
+    # x = b_i + b_j find the failure, which the full scan then locates
+    f = kf3.field
+    matrix = [[f.zero()] * 4 for _ in range(4)]
+    matrix[3][3] = f.from_int(sign)
+    t = MapTable(kf3, kf3, table=MapTable.from_matrix(kf3, kf3, matrix).index_table())
+    b = kf3.basis_elements()
+    assert all(PAIR_IDENTITIES[is_jordan_semitriple](t, x, y) for x in b for y in b)
+    verdict = is_jordan_semitriple(t)
+    assert verdict.witness == full_scan(is_jordan_semitriple, t).witness == (b[1] + b[2], b[3])
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +701,12 @@ def test_table_of_wrong_length_or_range_rejected(kf3, f3xf3):
     with pytest.raises(FormatError):
         MapTable(kf3, f3xf3, table=[9] * 81)  # f3xf3 has 9 elements
     MapTable(kf3, f3xf3, table=[8] * 81)
+
+
+@pytest.mark.parametrize("matrix", [5, [5, 5, 5, 5], ([0] * 4,) * 4])
+def test_matrix_that_is_not_a_list_of_rows_rejected(kf3, matrix):
+    with pytest.raises(FormatError):
+        MapTable(kf3, kf3, matrix=matrix)
 
 
 def test_table_over_rationals_rejected(kq):

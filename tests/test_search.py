@@ -45,7 +45,7 @@ def test_bijection_stream_includes_identity_and_transpose(kf3):
     f = kf3.field
     perm = [0, 2, 1, 3]
     matrix = [[f.one() if perm[j] == i else f.zero() for j in range(4)] for i in range(4)]
-    transpose = tuple(car.apply_matrix(matrix).tolist())
+    transpose = tuple(MapTable.from_matrix(kf3, kf3, matrix).index_table().tolist())
     assert transpose in tables
 
 
