@@ -2,15 +2,24 @@
 
 An algebra is a dense d x d x d tensor of structure constants over an
 exact field; products of elements are the bilinear extension of the
-basis table. Includes the basic identities (associator, commutator,
-flexible and Jordan laws), nonassociative monomial trees, multiplication
-operators, and the matrix-unit example constructors.
+basis table. Includes nonassociative monomial trees with the one
+evaluator that every identity check runs, multiplication operators, and
+the matrix-unit example constructors.
+
+The ring identities (commutative, associative and flexible laws, and the
+Jordan law) are each a pair of monomial trees lhs = rhs. Each is decided
+by one first-failure scan over the tuples of _slot_candidates: a slot
+used once ranges over the basis, and a slot used k > 1 times over short
+sums of basis vectors that decide an identity of degree k in it. The
+same scan and rule decide the map predicates over the rationals (maps).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (
@@ -195,15 +204,6 @@ def commutator(a: Algebra, x: Element, y: Element) -> Element:
     return multiply(a, x, y) - multiply(a, y, x)
 
 
-def noncommuting_pair(a: Algebra) -> tuple[Element, Element] | None:
-    """The first basis pair (b_i, b_j), i < j, with b_i b_j != b_j b_i, or None."""
-    basis = a.basis_elements()
-    for x, y in itertools.combinations(basis, 2):
-        if not commutator(a, x, y).is_zero():
-            return x, y
-    return None
-
-
 # ---------------------------------------------------------------------------
 # nonassociative monomials
 
@@ -269,6 +269,68 @@ def all_trees(n: int, _start: int = 1):
         for left in all_trees(i, _start):
             for right in all_trees(n - i, _start + i):
                 yield Node(left, right)
+
+
+def _evaluate(tree, leaves, op, memo: dict | None = None):
+    """The value of tree with slot s set to leaves[s - 1] and op at every node.
+
+    Leaves may be Elements or broadcasting index arrays; on index grids a
+    node is one flat take that broadcasts to the outer product of the
+    slots below it. When memo is given, it receives the value of every
+    subtree.
+    """
+    if isinstance(tree, Leaf):
+        val = leaves[tree.slot - 1]
+    else:
+        val = op(_evaluate(tree.left, leaves, op, memo), _evaluate(tree.right, leaves, op, memo))
+    if memo is not None:
+        memo[tree] = val
+    return val
+
+
+def _candidates(k: int, basis: list, add) -> list:
+    """The values a slot used k times ranges over: see _slot_candidates."""
+    values = []
+    for size in range(1, min(k, len(basis)) + 1):
+        for first, *rest in itertools.combinations(basis, size):
+            for lams in itertools.product(range(1, k - size + 2), repeat=size - 1):
+                v = first
+                for lam, b in zip(lams, rest):
+                    for _ in range(lam):
+                        v = add(v, b)
+                values.append(v)
+    return values
+
+
+def _slot_candidates(tree, n: int, basis: list, add) -> list[list]:
+    """The values each slot of tree ranges over to decide an identity.
+
+    An identity of a linear map, or of the ring itself, is homogeneous of
+    degree k in a slot used k times. It holds for every value of that
+    slot exactly when it holds at b_S[0] + sum of l_i b_i for i in S[1:],
+    over supports S of at most k basis indices, by size and then
+    lexicographically, with each l_i in 1..k - |S| + 1. Homogeneity fixes
+    the first coefficient at 1, and the Combinatorial Nullstellensatz
+    (Alon, CPC 1999) covers the rest when 1..k - 1 are distinct and
+    nonzero: in characteristic 0 or p >= k. A slot used once ranges over
+    the basis; one used twice over b_i and then b_i + b_j for i < j
+    (polarization); one used three times also over b_i + 2 b_j and
+    b_i + b_j + b_k. Multiples are sums, so add is the only operation.
+    """
+    return [_candidates(tree.slots.count(s), basis, add) for s in range(1, n + 1)]
+
+
+def _first_failure(cases, mismatch):
+    """The first (tree, args) at which mismatch(tree, args) is true, or None.
+
+    cases pairs each tree with its per-slot values (_slot_candidates).
+    Trees go in order, then each tree's tuples in product order.
+    """
+    for tree, ranges in cases:
+        for args in itertools.product(*ranges):
+            if mismatch(tree, args):
+                return tree, args
+    return None
 
 
 def monomial_eval(a: Algebra, tree: MonomialTree, args) -> Element:
@@ -373,148 +435,63 @@ class IdentityReport:
     witnesses: dict = dataclass_field(default_factory=dict)  # per failing property
 
 
-def identity_report(a: Algebra, cap: int = ENUMERATION_CAP) -> IdentityReport:
+# Each ring identity as lhs = rhs over monomial trees, with the slots its
+# witness lists: a flexible witness is the associator triple (x, y, x).
+_X1, _X2, _X3 = Leaf(1), Leaf(2), Leaf(3)
+_SQUARE = Node(_X1, _X1)
+_RING_IDENTITIES = {
+    "commutative": (Node(_X1, _X2), Node(_X2, _X1), (1, 2)),
+    "associative": (Node(Node(_X1, _X2), _X3), Node(_X1, Node(_X2, _X3)), (1, 2, 3)),
+    "flexible": (Node(Node(_X1, _X2), _X1), Node(_X1, Node(_X2, _X1)), (1, 2, 1)),
+    "jordan": (Node(Node(_SQUARE, _X2), _X1), Node(_SQUARE, Node(_X2, _X1)), (1, 2)),
+}
+
+
+def _identity_failure(a: Algebra, lhs: MonomialTree, rhs: MonomialTree) -> tuple | None:
+    """The first tuple of _slot_candidates at which lhs != rhs in a, or None."""
+    mul = functools.partial(multiply, a)
+    ranges = _slot_candidates(lhs, max(lhs.slots), a.basis_elements(), operator.add)
+    hit = _first_failure(
+        [(lhs, ranges)], lambda _, args: _evaluate(lhs, args, mul) != _evaluate(rhs, args, mul)
+    )
+    return None if hit is None else hit[1]
+
+
+def identity_report(a: Algebra) -> IdentityReport:
     """Check commutativity, associativity, flexibility, and the Jordan law.
 
-    The Jordan identity (x*x, y, x) = 0 is cubic in x, so it is decided by
-    its full linearization on basis tuples when the characteristic is 0 or
-    at least 5, and by exhaustive enumeration of the carrier over F_3.
-    Characteristic 2 is rejected outright.
+    Each identity lhs = rhs is decided on the tuples of _slot_candidates,
+    which is exact in characteristic 0 and in characteristic p >= k for a
+    slot used k times. The Jordan law ((x x) y) x = (x x)(y x) uses x
+    three times, so every characteristic but 2 is covered; characteristic
+    2 is rejected outright. A Jordan algebra is commutative, so a
+    noncommutative algebra fails the Jordan law with its commutativity
+    witness. A failing property's witness is its first failing tuple.
     """
-    f = a.field
-    if f.characteristic == 2:
+    if a.field.characteristic == 2:
         raise CharacteristicUnsupported("identity checks need characteristic != 2")
-    basis = a.basis_elements()
-    d = a.dim
     witnesses: dict = {}
-
-    pair = noncommuting_pair(a)
-    commutative = pair is None
-    if not commutative:
-        witnesses["commutative"] = pair
-
-    associative = True
-    for i, j, k in itertools.product(range(d), repeat=3):
-        if not associator(a, basis[i], basis[j], basis[k]).is_zero():
-            associative = False
-            witnesses["associative"] = (basis[i], basis[j], basis[k])
-            break
-
-    flexible, flex_wit = _check_flexible(a, basis)
-    if not flexible:
-        witnesses["flexible"] = flex_wit
-
-    if not commutative:
-        jordan = False
-        witnesses["jordan"] = witnesses["commutative"]
-    else:
-        if f.characteristic == 0 or f.characteristic >= 5:
-            jordan, jordan_wit = _jordan_linearized(a, basis)
-        else:  # characteristic 3: the linearization loses the cubic terms
-            jordan, jordan_wit = _jordan_exhaustive(a, basis, cap)
-        if not jordan:
-            witnesses["jordan"] = jordan_wit
-
-    witness = None
-    witness_for = None
-    for prop in ("commutative", "associative", "flexible", "jordan"):
-        if prop in witnesses:
-            witness = witnesses[prop]
-            witness_for = prop
-            break
-
+    for prop, (lhs, rhs, shown) in _RING_IDENTITIES.items():
+        if prop == "jordan" and "commutative" in witnesses:
+            witnesses[prop] = witnesses["commutative"]
+            continue
+        args = _identity_failure(a, lhs, rhs)
+        if args is not None:
+            witnesses[prop] = tuple(args[s - 1] for s in shown)
+    verdicts = {prop: prop not in witnesses for prop in _RING_IDENTITIES}
+    witness_for = next(iter(witnesses), None)
     return IdentityReport(
-        commutative, associative, flexible, jordan, witness, witness_for, witnesses
+        **verdicts,
+        witness=witnesses.get(witness_for),
+        witness_for=witness_for,
+        witnesses=witnesses,
     )
 
 
-def _check_flexible(a: Algebra, basis) -> tuple[bool, tuple | None]:
-    # (x,y,x) = 0 is quadratic in x: check the diagonal on basis vectors and
-    # the polarized form (x,y,z) + (z,y,x) on basis pairs.
-    d = a.dim
-    for i in range(d):
-        for j in range(d):
-            if not associator(a, basis[i], basis[j], basis[i]).is_zero():
-                return False, (basis[i], basis[j], basis[i])
-    for i in range(d):
-        for k in range(i + 1, d):
-            for j in range(d):
-                s = associator(a, basis[i], basis[j], basis[k]) + associator(
-                    a, basis[k], basis[j], basis[i]
-                )
-                if not s.is_zero():
-                    return False, (basis[i] + basis[k], basis[j], basis[i] + basis[k])
-    return True, None
-
-
-def _jordan_linearized(a: Algebra, basis) -> tuple[bool, tuple | None]:
-    # Coefficient forms of ((x^2) y) x - (x^2)(y x) after x -> sum(l_i b_i),
-    # valid when {0,1,2,3} are distinct in the field (char 0 or >= 5).
-    d = a.dim
-    two = a.field.from_int(2)
-
-    def asc(u, y, w):
-        return associator(a, u, y, w)
-
-    for i in range(d):
-        sq = multiply(a, basis[i], basis[i])
-        for y in range(d):
-            if not asc(sq, basis[y], basis[i]).is_zero():
-                return False, (basis[i], basis[y])
-    for i in range(d):
-        sq = multiply(a, basis[i], basis[i])
-        for j in range(d):
-            if j == i:
-                continue
-            mix = multiply(a, basis[i], basis[j])
-            for y in range(d):
-                v = asc(sq, basis[y], basis[j]) + asc(mix, basis[y], basis[i]).scaled(two)
-                if not v.is_zero():
-                    return False, _jordan_grid_witness(a, basis, (i, j), y)
-    for i, j, k in itertools.combinations(range(d), 3):
-        pij = multiply(a, basis[i], basis[j])
-        pik = multiply(a, basis[i], basis[k])
-        pjk = multiply(a, basis[j], basis[k])
-        for y in range(d):
-            v = asc(pij, basis[y], basis[k]) + asc(pik, basis[y], basis[j]) + asc(
-                pjk, basis[y], basis[i]
-            )
-            if not v.is_zero():
-                return False, _jordan_grid_witness(a, basis, (i, j, k), y)
-    return True, None
-
-
-def _jordan_grid_witness(a: Algebra, basis, support, y) -> tuple:
-    # A nonzero cubic vanishes nowhere on a full {0..3}^m grid, so some grid
-    # point over the failing support is a concrete witness.
-    f = a.field
-    ey = basis[y]
-    for lams in itertools.product(range(4), repeat=len(support)):
-        x = a.zero()
-        for lam, i in zip(lams, support):
-            x = x + basis[i].scaled(f.from_int(lam))
-        sq = multiply(a, x, x)
-        if not associator(a, sq, ey, x).is_zero():
-            return (x, ey)
-    raise AssertionError("cubic witness grid exhausted without a hit")
-
-
-def _jordan_exhaustive(a: Algebra, basis, cap: int) -> tuple[bool, tuple | None]:
-    f = a.field
-    p = f.characteristic
-    d = a.dim
-    if p == 0:
-        raise CharacteristicUnsupported(
-            "exhaustive Jordan check needs a finite field"
-        )
-    check_enumerable(p, d, cap)
-    for coords in itertools.product(range(p), repeat=d):
-        x = Element(a, coords)
-        sq = multiply(a, x, x)
-        for y in basis:
-            if not associator(a, sq, y, x).is_zero():
-                return False, (x, y)
-    return True, None
+def noncommuting_pair(a: Algebra) -> tuple[Element, Element] | None:
+    """The first basis pair (b_i, b_j), i < j, with b_i b_j != b_j b_i, or None."""
+    lhs, rhs, _ = _RING_IDENTITIES["commutative"]
+    return _identity_failure(a, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +552,11 @@ def algebra_to_dict(a: Algebra) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    """True for a JSON integer; a bool is an int in Python, but not here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def algebra_from_dict(data: dict) -> Algebra:
     if not isinstance(data, dict):
         raise FormatError("algebra file must hold a JSON object")
@@ -583,7 +565,7 @@ def algebra_from_dict(data: dict) -> Algebra:
             raise FormatError(f"algebra file missing field {key!r}")
     f = field_from_spec(data["field"])
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise FormatError(f"dim must be a positive integer, got {dim!r}")
     basis = data["basis"]
     if not isinstance(basis, list) or len(basis) != dim:
@@ -604,7 +586,7 @@ def algebra_from_dict(data: dict) -> Algebra:
             i, j, k, c = entry["i"], entry["j"], entry["k"], entry["c"]
         except (TypeError, KeyError) as exc:
             raise FormatError(f"bad product entry {entry!r}") from exc
-        if not all(isinstance(v, int) and 0 <= v < dim for v in (i, j, k)):
+        if not all(_is_int(v) and 0 <= v < dim for v in (i, j, k)):
             raise FormatError(f"product indices out of range in {entry!r}")
         if (i, j, k) in seen:
             raise FormatError(f"duplicate product entry for ({i},{j},{k})")

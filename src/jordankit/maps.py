@@ -24,10 +24,14 @@ A table over F_p is decided on generators and basis tuples. It is
 additive exactly when phi(x + g) = phi(x) + phi(g) for every carrier x
 and every g in {0} and the basis, one N x (d + 1) grid. An additive map
 over F_p is linear, and a linear map passes an identity exactly when it
-passes on basis tuples: a slot used once ranges over the basis, and a
-slot used twice, in which the identity is quadratic, over b_i and then
-b_i + b_j for i < j (polarization). A linear map over the rationals is
-additive outright and takes the same basis tuples, on Elements.
+passes on the basis tuples of algebra._slot_candidates. The identity has
+degree k in a slot used k times, and that slot ranges over sums of at
+most k basis vectors, which is exact in characteristic 0 or p >= k. A
+map identity uses a slot at most twice, so a slot ranges over the basis,
+or over b_i and then b_i + b_j for i < j (polarization), and every
+characteristic qualifies. A linear map over the rationals is additive
+outright and takes the same basis tuples, on Elements, through the
+first-failure scan that also decides the ring identities.
 
 The full scan of every carrier n-tuple runs only when one of those
 checks fails, and then it alone gives the verdict and the witness. It
@@ -38,7 +42,6 @@ of a chunk in C order is the first witness in lexicographic order.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
@@ -52,6 +55,9 @@ from .algebra import (
     Element,
     Leaf,
     Node,
+    _evaluate,
+    _first_failure,
+    _slot_candidates,
     all_trees,
     canonical_tree,
     mult_operators,
@@ -278,38 +284,10 @@ def _slot_grids(slots: list[np.ndarray]) -> list[np.ndarray]:
     return grids
 
 
-def _slot_candidates(tree, n: int, basis: list, add) -> list[list]:
-    """The values each slot of tree ranges over when the map is linear.
-
-    The identity is linear in a slot used once, so that slot ranges over
-    the basis. It is quadratic in a slot used twice, so that slot ranges
-    over b_i and then add(b_i, b_j) for i < j, which decide a quadratic
-    form (polarization).
-    """
-    polarized = basis + [add(u, v) for u, v in itertools.combinations(basis, 2)]
-    return [basis if tree.slots.count(s) == 1 else polarized for s in range(1, n + 1)]
-
-
 def _table_op(table: np.ndarray):
     """The operation of an N x N index table on broadcasting index arrays."""
     size = table.shape[1]
     return lambda x, y: table.take(x * size + y)
-
-
-def _evaluate(tree, leaves, op, memo: dict | None = None):
-    """The value of tree with slot s set to leaves[s - 1] and op at every node.
-
-    On index grids a node is one flat take that broadcasts to the outer
-    product of the slots below it. When memo is given, it receives the
-    value of every subtree.
-    """
-    if isinstance(tree, Leaf):
-        val = leaves[tree.slot - 1]
-    else:
-        val = op(_evaluate(tree.left, leaves, op, memo), _evaluate(tree.right, leaves, op, memo))
-    if memo is not None:
-        memo[tree] = val
-    return val
 
 
 def _substituted(tree, memo: dict, subs, op):
@@ -413,11 +391,8 @@ def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool, budget: int) 
         mismatch = _derivation(t.apply, mul, operator.add)
     else:
         mismatch = _homomorphism(t.apply, mul, functools.partial(multiply, t.codomain))
-    for tree, slot_ranges in zip(trees, ranges):
-        for args in itertools.product(*slot_ranges):
-            if mismatch(tree, args):
-                return Verdict(False, (tree, args))
-    return Verdict(True)
+    hit = _first_failure(zip(trees, ranges), mismatch)
+    return Verdict(True) if hit is None else Verdict(False, hit)
 
 
 def _check(t: FunctionTable, n: int, trees, derivation: bool, budget: int, cap: int) -> Verdict:

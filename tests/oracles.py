@@ -60,6 +60,49 @@ def jordan_exhaustive(algebra):
     return True
 
 
+def ring_identity_sides(algebra, prop, x, y, z=None):
+    """Both sides of a ring identity at raw coordinate tuples x, y (and z)."""
+    m = lambda u, v: raw_multiply(algebra, u, v)
+    if prop == "commutative":
+        return m(x, y), m(y, x)
+    if prop == "associative":
+        return m(m(x, y), z), m(x, m(y, z))
+    if prop == "flexible":
+        return m(m(x, y), x), m(x, m(y, x))
+    sq = m(x, x)  # the Jordan law
+    return m(m(sq, y), x), m(sq, m(y, x))
+
+
+def ring_identities_bruteforce(algebra):
+    """The four verdicts of identity_report, from raw coordinates.
+
+    Each identity is linear in a slot used once, so such a slot runs over
+    the basis. x, used more than once in the flexible and Jordan laws,
+    runs over the whole carrier. A Jordan algebra is commutative.
+    """
+    f = algebra.field
+    d = algebra.dim
+    basis = [tuple(f.one() if i == j else f.zero() for j in range(d)) for i in range(d)]
+    carrier = carrier_coords(f.characteristic, d)
+
+    def holds(prop, xs, *rest):
+        return all(
+            lhs == rhs
+            for x in xs
+            for args in itertools.product(*rest)
+            for lhs, rhs in [ring_identity_sides(algebra, prop, x, *args)]
+        )
+
+    verdicts = {
+        "commutative": holds("commutative", basis, basis),
+        "associative": holds("associative", basis, basis, basis),
+        "flexible": holds("flexible", carrier, basis),
+        "jordan": holds("jordan", carrier, basis),
+    }
+    verdicts["jordan"] = verdicts["jordan"] and verdicts["commutative"]
+    return verdicts
+
+
 def commutative_exhaustive(algebra):
     p = algebra.field.characteristic
     elems = carrier_coords(p, algebra.dim)

@@ -7,17 +7,17 @@ from jordankit import Algebra, prime_field
 
 
 @st.composite
-def f3_algebras(draw, max_dim=3, commutative=None):
-    """Random structure tables over F3 of dimension at most max_dim.
+def f3_algebras(draw, max_dim=3, commutative=None, p=3):
+    """Random structure tables over F_p (F3 by default) of dimension at most max_dim.
 
     commutative=None draws commutative and general tables alike.
     """
     dim = draw(st.integers(1, max_dim))
-    coeffs = draw(st.lists(st.integers(0, 2), min_size=dim**3, max_size=dim**3))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=dim**3, max_size=dim**3))
     c = np.array(coeffs, dtype=np.int64).reshape(dim, dim, dim)
     if commutative is None:
         commutative = draw(st.booleans())
     if commutative:  # c[i][j] = c[j][i]
         upper = np.arange(dim)[:, None, None] <= np.arange(dim)[None, :, None]
         c = np.where(upper, c, c.transpose(1, 0, 2))
-    return Algebra(prime_field(3), tuple(f"b{i}" for i in range(dim)), c.tolist())
+    return Algebra(prime_field(p), tuple(f"b{i}" for i in range(dim)), c.tolist())

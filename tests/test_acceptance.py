@@ -160,7 +160,7 @@ def test_criterion_5_oracle_equivalence_jordan():
     verdicts = set()
     ok = True
     for a in algebras:
-        linearized = identity_report(a).jordan  # p = 5: the linearized route
+        linearized = identity_report(a).jordan  # p = 5: the per-slot candidate rule
         exhaustive = oracles.jordan_exhaustive(a)
         ok = ok and (linearized is exhaustive)
         verdicts.add(linearized)

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jordankit import (
     Algebra,
     AlgebraMismatch,
     ArityMismatch,
     CharacteristicUnsupported,
-    EnumerationTooLarge,
     FormatError,
     Leaf,
     Node,
@@ -33,8 +33,11 @@ from jordankit import (
     save_algebra,
     xi_eval,
 )
+from jordankit.algebra import ENUMERATION_CAP
 
 import oracles
+from conftest import diagonal_product_algebra
+from strategies import f3_algebras
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +167,14 @@ def test_identity_report_char2_rejected():
         identity_report(a)
 
 
-def test_identity_report_char3_cap():
-    f3 = prime_field(3)
-    a = jordanify(matrix_units_algebra(f3))
-    with pytest.raises(EnumerationTooLarge):
-        identity_report(a, cap=10)
+def test_identity_report_f3_beyond_enumeration_cap(f3):
+    # 3^13 carrier elements exceed ENUMERATION_CAP; the candidate rule
+    # decides the cubic Jordan law over F_3 without enumerating them
+    a = diagonal_product_algebra(f3, 13)
+    assert 3**13 > ENUMERATION_CAP
+    rep = identity_report(a)
+    assert rep.commutative and rep.associative and rep.flexible and rep.jordan
+    assert rep.witness is None and rep.witnesses == {}
 
 
 def test_jordan_witness_is_falsifying(f5):
@@ -183,8 +189,46 @@ def test_jordan_witness_is_falsifying(f5):
     x, y = rep.witnesses["jordan"]
     sq = multiply(a, x, x)
     assert not associator(a, sq, y, x).is_zero()
-    # linearized verdict agrees with the exhaustive oracle
+    # the candidate-rule verdict agrees with the exhaustive oracle
     assert oracles.jordan_exhaustive(a) is False
+
+
+@pytest.mark.parametrize(
+    "dim, products, witness",
+    [
+        # the Jordan law holds at b1 + b2 and first fails at b1 + 2 b2
+        (3, {(1, 1): (1, 2), (1, 2): (1, 2)}, ((0, 1, 2), (0, 0, 1))),
+        # its only nonzero term in x = sum l_i b_i is l0 l1 l2 (b0 b1 = b3,
+        # b3 b0 = b4, b4 b2 = b5), so it first fails at b0 + b1 + b2
+        (6, {(0, 1): (3, 1), (3, 0): (4, 1), (4, 2): (5, 1)}, ((1, 1, 1, 0, 0, 0), (1, 0, 0, 0, 0, 0))),
+    ],
+)
+def test_f3_jordan_witness_beyond_basis_pairs(f3, dim, products, witness):
+    zero = f3.zero()
+    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for (i, j), (k, c) in products.items():
+        table[i][j][k] = table[j][i][k] = f3.from_int(c)
+    rep = identity_report(Algebra(f3, tuple(f"b{i}" for i in range(dim)), table))
+    assert rep.commutative and rep.flexible and not rep.jordan
+    assert tuple(x.coords for x in rep.witnesses["jordan"]) == witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([3, 5, 7]).flatmap(lambda p: f3_algebras(p=p)))
+def test_identity_report_matches_raw_oracle(a):
+    rep = identity_report(a)
+    verdicts = {prop: getattr(rep, prop) for prop in ("commutative", "associative", "flexible", "jordan")}
+    assert verdicts == oracles.ring_identities_bruteforce(a)
+    assert set(rep.witnesses) == {prop for prop, ok in verdicts.items() if not ok}
+    for prop, witness in rep.witnesses.items():
+        coords = [x.coords for x in witness]
+        if prop == "flexible":  # the associator triple (x, y, x)
+            assert coords[0] == coords[2]
+            coords = coords[:2]
+        if prop == "jordan" and not rep.commutative:
+            prop = "commutative"
+        lhs, rhs = oracles.ring_identity_sides(a, prop, *coords)
+        assert lhs != rhs
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +377,7 @@ def test_jordanify_char2_rejected():
 
 
 def test_linearized_equals_exhaustive_on_k5(kf5):
-    rep = identity_report(kf5)  # linearized route (p = 5)
+    rep = identity_report(kf5)  # the per-slot candidate rule (p = 5)
     assert rep.jordan is oracles.jordan_exhaustive(kf5) is True
 
 

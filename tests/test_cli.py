@@ -274,6 +274,27 @@ def test_algebra_file_with_non_string_names_exits_2(files, tmp_path, capsys, key
     assert "must be a string" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "dim, entry",
+    [
+        (2, {"i": True, "j": 0, "k": 0}),
+        (2, {"i": 0, "j": 0, "k": False}),
+        (True, {"i": 0, "j": 0, "k": 0}),
+    ],
+)
+def test_algebra_file_with_bool_index_exits_2(tmp_path, dim, entry):
+    # a bool is an int in Python: read as an integer, true is 1 and false 0
+    data = {
+        "field": {"type": "prime", "p": 3},
+        "dim": dim,
+        "basis": ["u", "v"][: int(dim)],
+        "products": [{**entry, "c": "1"}],
+    }
+    path = tmp_path / "bool.alg"
+    path.write_text(json.dumps(data))
+    assert run(["check", str(path)]).exit_code == 2
+
+
 def test_non_numeric_field_spec_exits_2(tmp_path):
     report = run(["example", "m2", "--field", "p=abc", "--out", str(tmp_path / "x.alg")])
     assert report.exit_code == 2
