@@ -17,10 +17,15 @@ to two images, or, for bijections, when an image is taken twice. The
 closure is a least fixpoint and a conflict is a property of the closed
 set, so neither depends on the order of computation.
 
-Each complete table is re-verified by the maps-module predicate of its
-kind and yielded only if it passes, so the stream is sound independently
-of the pruning logic. An additive table is decided on generators and
-basis tuples, not on every carrier tuple (see maps).
+The closure stops once every element has an image. Re-verification is
+its last step: each complete table is checked by the maps-module
+predicate of its kind and yielded only if it passes, which decides every
+product the closure did not gather. That predicate implies the canonical
+identity, so a table that a full closure would have refuted is rejected
+here instead; the stream and the node count are the same either way, and
+the stream is sound independently of the pruning logic. An additive
+table is decided on generators and basis tuples, not on every carrier
+tuple (see maps).
 """
 
 from __future__ import annotations
@@ -139,6 +144,8 @@ class _TableSearch:
             self.trail.append(old)
             if not self._commit(xs, vs):
                 return False
+            if self.counts[0] == self.size:
+                return True  # complete: _verify decides the unchecked products
             forced = self._propagate(old)
             if forced is None:
                 return False
@@ -177,12 +184,17 @@ class _TableSearch:
         """One semi-naive round after a commit; old holds the counts before it.
 
         Returns the forced images of unassigned elements as (xs, vs), or
-        None when a forced image clashes with an assigned one.
+        None when a forced image clashes with an assigned one. The top
+        level stops gathering as soon as the forced elements cover every
+        unassigned one: that frontier completes the table, and _verify
+        decides the products left unchecked.
         """
         xs, vs = self.pairs[0][:, :self.counts[0]]
         new_x = slice(old[0], None)
         top = self.n - 2
         forced_x, forced_v = [], []
+        hit = np.zeros(self.size, dtype=bool)
+        free = self.size - self.counts[0]
         for i in range(top + 1):  # pairs[i] -> pairs[i + 1], or forced at the top
             pairs = self.pairs[i]
             for ex, ev, ts, ss in (
@@ -205,6 +217,9 @@ class _TableSearch:
                         return None
                     forced_x.append(z[fresh])
                     forced_v.append(t[fresh])
+                    hit[forced_x[-1]] = True
+                    if np.count_nonzero(hit) == free:
+                        return np.concatenate(forced_x), np.concatenate(forced_v)
         if not forced_x:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         return np.concatenate(forced_x), np.concatenate(forced_v)
@@ -239,11 +254,15 @@ class _TableSearch:
     # -- candidate filtering -------------------------------------------------
 
     def _candidates(self, x: int) -> list[int]:
-        """Images of x not already refuted by a pairwise constraint.
+        """Images of x not refuted by the degree-2 step on x and an assigned element.
 
-        This is a pure prefilter: any value it drops would fail the full
-        propagation in _assign for the same pair, so the emitted stream
-        and its order are unchanged (survivors stay in ascending order).
+        For n = 2 this is a pure prefilter: a value it drops violates the
+        canonical identity on a pair of assigned elements, so no table
+        with that image would pass _verify, and the emitted stream and
+        its order are unchanged (survivors stay in ascending order). The
+        n-ary identity does not imply the degree-2 step for n >= 3, where
+        this drops solutions: -id is 3-multiplicative but not
+        multiplicative.
         """
         vs = self._arange
         mask = ~self.used if self.bijective else np.ones(self.cod.size, dtype=bool)

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Every run draws the same examples, so a failure, and a test's time, repeat.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 from jordankit import (
     Algebra,

@@ -1,8 +1,10 @@
 """The frontier closure against a per-element forcing queue.
 
-Both propagations compute the same least fixpoint, so a search must emit
-the same tables in the same order, expand the same nodes and end in the
-same budget state with either one.
+Both propagations compute the same least fixpoint on a partial table.
+The frontier closure stops once a table is complete, where the queue
+runs on; re-verification rejects any complete table the queue would
+refute. So a search must emit the same tables in the same order, expand
+the same nodes and end in the same budget state with either one.
 """
 
 import numpy as np
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jordankit import (
+    Algebra,
     SearchBudget,
     enumerate_multiplicative_bijections,
     enumerate_n_derivations,
+    prime_field,
 )
 from jordankit import search as search_module
 
@@ -97,7 +101,37 @@ def test_frontier_conflicts_fail_and_undo(kf3):
     assert not commit([1], [0])  # an image already taken
 
 
+def test_verify_rejects_tables_the_closure_left_unchecked(monkeypatch):
+    # b0 * b0 = 2 b0 over F3: d(b0) = c b0 forces d(2 b0) = c b0, which
+    # completes the table before the closure reaches d(b0 * 2 b0); only the
+    # zero map is a derivation, so re-verification must reject the others.
+    algebra = Algebra(prime_field(3), ("b0",), [[[2]]])
+    search = make_search(algebra, "derivations", 2)
+    verify = search._verify
+    rejected = []
+
+    def counting_verify(table):
+        ok = verify(table)
+        if not ok:
+            rejected.append(tuple(table.index_table().tolist()))
+        return ok
+
+    monkeypatch.setattr(search, "_verify", counting_verify)
+    tables, nodes, exhausted, _ = assert_same_run(search)
+    assert tables == [(0, 0, 0)] and nodes == 3 and exhausted
+    assert rejected == [(0, 1, 1), (0, 2, 2)]
+
+    unverified = make_search(algebra, "derivations", 2)
+    monkeypatch.setattr(unverified, "_verify", lambda table: True)
+    assert run(unverified)[0] == [(0, 0, 0), (0, 1, 1), (0, 2, 2)]
+
+
 @settings(max_examples=80, deadline=None, database=None)
 @given(f3_algebras(), st.sampled_from(["bijections", "derivations"]), st.integers(2, 3))
 def test_random_tables_match_reference(algebra, kind, n):
-    assert_same_run(make_search(algebra, kind, n, budget=SearchBudget(max_nodes=150)))
+    # re-verification also prunes: a stricter tree set must not change the
+    # stream or the node count against the eager queue oracle
+    for tree_mode in ("canonical", "all_trees"):
+        search = make_search(algebra, kind, n, tree_mode=tree_mode,
+                             budget=SearchBudget(max_nodes=150))
+        assert_same_run(search)
