@@ -136,7 +136,10 @@ class FunctionTable:
             raise FormatError(f"a function table holds integer indices: {exc}") from exc
         if arr.dtype.kind not in "iu":
             raise FormatError(f"function table entries must be integers, not {arr.dtype}")
-        arr = arr.astype(np.int64, copy=False)
+        # int32 is kept as it is: index arithmetic x * N + y stays below the
+        # N^2 <= PAIR_TABLE_CAP entries of a pair table
+        if arr.dtype != np.int32:
+            arr = arr.astype(np.int64, copy=False)
         if arr.shape != (dom_size,):
             raise FormatError(
                 f"function table has shape {arr.shape}, the domain carrier has {dom_size} elements"
@@ -680,6 +683,8 @@ def map_table_from_dict(
     """Load a map table; explicit algebras override the file's own."""
     from .algebra import algebra_from_dict, load_algebra
 
+    if not isinstance(data, dict):
+        raise FormatError("map file must hold a JSON object")
     def resolve(key, override):
         if override is not None:
             return override

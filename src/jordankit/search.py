@@ -17,6 +17,28 @@ to two images, or, for bijections, when an image is taken twice. The
 closure is a least fixpoint and a conflict is a property of the closed
 set, so neither depends on the order of computation.
 
+Which elements a closure touches does not depend on the value v tried
+for the branching element x: a product z = mul[x, t] is a domain
+product, an element is forced exactly when it is an unassigned z, and
+the stop rules count elements. So a closure splits into a domain plan
+and a value side. The plan (_Plan, built once per assigned prefix and
+x, then cached on the search) lists, round by round, the operand
+positions of every product, the products that land on an assigned
+element and are checked against its image, and, for the rest, which
+forced element each one hits, with its first occurrence. Every node at
+one depth has the same assigned prefix, so a K/F5 search builds about
+as many plans as it has depths. The value side runs a plan for all
+candidates of x at once, one row per candidate over shared columns,
+and drops a row at its first conflict; each surviving row is installed
+as it is and searched below without being closed again.
+
+For n >= 3 the level-k pairs are indexed by derivation, (step x, pair
+it extends), not deduplicated by (t, s): t is a domain value shared by
+all rows and s is per row. A pair that repeats only repeats a
+constraint, so the closure is the same; it just gathers more columns.
+With m assigned elements there are m^k level-k pairs: at most N^2 for
+n = 3, as many as a (t, s) deduplication allows, but more for n >= 4.
+
 The closure stops once every element has an image. Re-verification is
 its last step: each complete table is checked by the maps-module
 predicate of its kind and yielded only if it passes, which decides every
@@ -32,6 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -59,14 +82,90 @@ class SearchBudget:
             raise ValueError(f"max_witnesses must be >= 0, got {self.max_witnesses}")
 
 
-# Elements per gather in one propagation step. Bounds peak memory where many
-# new elements meet many level-k pairs (n >= 3 on large carriers).
+# Products per gather in one closure round, counted over all candidate rows.
+# Bounds peak memory where many candidates meet many products (n >= 3 on
+# large carriers).
 _GATHER_CHUNK = 1 << 18
 
 
 def _gather(table: np.ndarray, rows, cols) -> np.ndarray:
     """table[rows, cols] for broadcasting index arrays, as one flat take."""
     return table.take(rows * table.shape[1] + cols)
+
+
+@dataclass
+class _Columns:
+    """Products ex * t of one gather, with the value columns of their operands.
+
+    ex_pos is the base-pair column of the stepping element ex, and t_pos
+    the column of the pair (t, s) it extends, at the gather's level.
+    """
+
+    ex: np.ndarray
+    ex_pos: np.ndarray
+    t: np.ndarray
+    t_pos: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ex.size
+
+    def __getitem__(self, cols) -> _Columns:
+        return _Columns(self.ex[cols], self.ex_pos[cols], self.t[cols], self.t_pos[cols])
+
+
+def _block_columns(base: np.ndarray, level_t: np.ndarray, blocks, cols: np.ndarray) -> _Columns:
+    """The products at positions cols of a gather made of row-major blocks.
+
+    Block (e0, e1, t0, t1) steps the base elements at columns e0..e1 onto
+    the pairs at columns t0..t1 of the level whose t are level_t. Plans
+    stay cached for the whole search, so their arrays are int32.
+    """
+    ex_pos = np.empty(cols.size, dtype=np.int32)
+    t_pos = np.empty(cols.size, dtype=np.int32)
+    lo = 0
+    for e0, e1, t0, t1 in blocks:
+        hi = lo + (e1 - e0) * (t1 - t0)
+        sel = (cols >= lo) & (cols < hi)
+        q, r = np.divmod(cols[sel] - lo, max(t1 - t0, 1))
+        ex_pos[sel] = q + e0
+        t_pos[sel] = r + t0
+        lo = hi
+    return _Columns(base[ex_pos].astype(np.int32), ex_pos, level_t[t_pos].astype(np.int32), t_pos)
+
+
+@dataclass
+class _Round:
+    """One semi-naive round of a closure plan.
+
+    pairs[i] are the level-(i + 1) products, whose values become the new
+    level-(i + 2) pairs from column at[i] on. At the top level, checked are
+    the products that land on an assigned element, whose image is at base
+    column target; forced are the rest. Product j of forced hits the
+    forced element group[j], and the first `size` products are the first
+    occurrences of the groups, in order.
+    """
+
+    pairs: list[_Columns]
+    at: list[int]
+    checked: _Columns
+    target: np.ndarray
+    forced: _Columns
+    group: np.ndarray
+    size: int
+
+
+@dataclass
+class _Plan:
+    """The domain side of closing an assignment img[x] = v, for every v.
+
+    elements are the elements the closure assigns (x first, then each
+    round's forced elements in ascending order) and pair_t the t of the
+    pairs it adds at each level >= 2, in column order.
+    """
+
+    rounds: list[_Round]
+    elements: np.ndarray
+    pair_t: list[np.ndarray]
 
 
 class _TableSearch:
@@ -97,17 +196,16 @@ class _TableSearch:
         self.np_cod_add = cod.add
         self._arange = np.arange(cod.size, dtype=np.int64)
         # search state: pairs[i][:, :counts[i]] holds the level-(i + 1)
-        # pairs (t, s); level 1 is the assignment itself, in commit order.
-        # seen[i] marks the pairs of pairs[i] by code t * cod.size + s.
-        pair_cap = dom.size * cod.size
+        # pairs (t, s), in the column order of the plans that added them;
+        # level 1 is the assignment itself, in commit order.
         self.img = np.full(self.size, -1, dtype=np.int64)
         self.used = np.zeros(cod.size, dtype=bool)
         self.pairs = [np.empty((2, self.size), dtype=np.int64)]
-        self.pairs += [np.empty((2, pair_cap), dtype=np.int64) for _ in range(2, n)]
+        self.pairs += [np.empty((2, 0), dtype=np.int64) for _ in range(2, n)]
         self.counts = [0] * (n - 1)
-        self.seen = [None] + [np.zeros(pair_cap, dtype=bool) for _ in range(2, n)]
-        self.trail: list[list[int]] = []  # counts before each round
+        self.trail: list[list[int]] = []  # counts before each install
         self.domains: dict[int, list[int]] = {}
+        self._plans: dict[tuple, _Plan] = {}
         # run record
         self.nodes = 0
         self.exhausted = False
@@ -127,117 +225,177 @@ class _TableSearch:
     def _emit(self):
         raise NotImplementedError
 
+    def _finished_table(self) -> np.ndarray:
+        """The complete table, as int32: a stream's consumers may keep every table."""
+        return self.img.astype(np.int32)
+
     def _verify(self, table) -> bool:
         raise NotImplementedError
 
-    # -- propagation ------------------------------------------------------
+    # -- closure plans -------------------------------------------------------
 
-    def _assign(self, x: int, v: int) -> bool:
-        """Set img[x] = v and close under forcing; False on a conflict.
+    def _plan(self, x: int) -> _Plan:
+        """The cached plan for closing img[x] on the current assigned prefix."""
+        key = (x, self.pairs[0][0, :self.counts[0]].tobytes())
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._build_plan(x)
+        return plan
 
-        The state changes stay on the trail either way; _undo reverts them.
+    def _build_plan(self, x: int) -> _Plan:
+        """Run the closure of img[x] on domain elements alone.
+
+        Each round gathers (new x) x (old level-k pairs) and (all x) x (new
+        level-k pairs), level by level, as the semi-naive closure does. At
+        the top level a product on an assigned element is a check, and the
+        distinct unassigned ones are the next frontier. Once they cover the
+        carrier the round is cut after the product that completes the
+        table, and the plan ends; it also ends at a round that forces
+        nothing. None of this reads an image.
         """
-        xs = np.array([x], dtype=np.int64)
-        vs = np.array([v], dtype=np.int64)
-        while xs.size:
-            old = self.counts.copy()
-            self.trail.append(old)
-            if not self._commit(xs, vs):
-                return False
-            if self.counts[0] == self.size:
-                return True  # complete: _verify decides the unchecked products
-            forced = self._propagate(old)
-            if forced is None:
-                return False
-            xs, vs = forced
-        return True
-
-    def _commit(self, xs: np.ndarray, vs: np.ndarray) -> bool:
-        """Assign a frontier of unassigned elements; False if it is inconsistent.
-
-        The frontier is committed before it is checked, so that _undo
-        reverts a failed commit like any other.
-        """
-        if self.bijective and self.used[vs].any():
-            return False  # an image already taken
-        self.img[xs] = vs
-        clash = False
-        if xs.size > 1:
-            clash = (self.img[xs] != vs).any()  # one element, two images
-            new = np.zeros(self.size, dtype=bool)
-            new[xs] = True
-            xs = np.flatnonzero(new)
-            vs = self.img[xs]
-        m = self.counts[0]
-        self.pairs[0][0, m:m + xs.size] = xs
-        self.pairs[0][1, m:m + xs.size] = vs
-        self.counts[0] = m + xs.size
-        if clash:
-            return False
-        if self.bijective:
-            self.used[vs] = True
-            if np.count_nonzero(self.used) < self.counts[0]:
-                return False  # an image taken twice within the frontier
-        return True
-
-    def _propagate(self, old: list[int]):
-        """One semi-naive round after a commit; old holds the counts before it.
-
-        Returns the forced images of unassigned elements as (xs, vs), or
-        None when a forced image clashes with an assigned one. The top
-        level stops gathering as soon as the forced elements cover every
-        unassigned one: that frontier completes the table, and _verify
-        decides the products left unchecked.
-        """
-        xs, vs = self.pairs[0][:, :self.counts[0]]
-        new_x = slice(old[0], None)
         top = self.n - 2
-        forced_x, forced_v = [], []
-        hit = np.zeros(self.size, dtype=bool)
-        free = self.size - self.counts[0]
-        for i in range(top + 1):  # pairs[i] -> pairs[i + 1], or forced at the top
-            pairs = self.pairs[i]
-            for ex, ev, ts, ss in (
-                (xs[new_x], vs[new_x], *pairs[:, :old[i]]),
-                (xs, vs, *pairs[:, old[i]:self.counts[i]]),
-            ):
-                if not ex.size or not ts.size:
-                    continue
-                chunk = max(1, _GATHER_CHUNK // ex.size)
-                for lo in range(0, ts.size, chunk):
-                    hi = lo + chunk
-                    z, t = self._step(ex[:, None], ev[:, None], ts[None, lo:hi], ss[None, lo:hi])
-                    z, t = z.ravel(), t.ravel()
-                    if i < top:
-                        self._add_pairs(i + 1, z, t)
-                        continue
-                    have = self.img.take(z)
-                    fresh = have != t  # an agreeing image is no news
-                    if (have[fresh] != -1).any():
-                        return None
-                    forced_x.append(z[fresh])
-                    forced_v.append(t[fresh])
-                    hit[forced_x[-1]] = True
-                    if np.count_nonzero(hit) == free:
-                        return np.concatenate(forced_x), np.concatenate(forced_v)
-        if not forced_x:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(forced_x), np.concatenate(forced_v)
+        m = self.counts[0]
+        elems = [np.append(self.pairs[0][0, :m], x)]
+        elems += [self.pairs[i][0, :self.counts[i]] for i in range(1, top + 1)]
+        pos = np.full(self.size, -1, dtype=np.int64)
+        pos[elems[0]] = np.arange(m + 1)
+        old = [m] + self.counts[1:]
+        rounds = []
+        while elems[0].size < self.size:
+            base = elems[0]
+            pairs, at = [], []
+            for i in range(top + 1):
+                # (new x) x (old pairs), then (all x) x (new pairs)
+                blocks = ((old[0], base.size, 0, old[i]), (0, base.size, old[i], elems[i].size))
+                z = np.concatenate([
+                    _gather(self.np_mul, base[e0:e1, None], elems[i][None, t0:t1]).ravel()
+                    for e0, e1, t0, t1 in blocks
+                ])
+                if i < top:
+                    pairs.append(_block_columns(base, elems[i], blocks, np.arange(z.size)))
+                    at.append(elems[i + 1].size)
+                    elems[i + 1] = np.concatenate([elems[i + 1], z])
+            assigned = pos[z]
+            free = np.flatnonzero(assigned == -1)
+            forced, first = np.unique(z[free], return_index=True)
+            if forced.size == self.size - base.size:  # complete: cut the round
+                free = free[:first.max() + 1]
+                assigned = assigned[:free[-1] + 1]
+            checked = np.flatnonzero(assigned != -1)
+            rest = np.ones(free.size, dtype=bool)
+            rest[first] = False
+            order = free[np.concatenate([first, np.flatnonzero(rest)])]
+            top_columns = partial(_block_columns, base, elems[top], blocks)
+            rounds.append(_Round(
+                pairs, at, top_columns(checked), assigned[checked].astype(np.int32),
+                top_columns(order), np.searchsorted(forced, z[order]).astype(np.int32), forced.size,
+            ))
+            old = [e.size for e in elems]
+            pos[forced] = np.arange(base.size, base.size + forced.size)
+            elems[0] = np.concatenate([base, forced])
+            if not forced.size:
+                break
+        return _Plan(rounds, elems[0][m:], [e[c:] for e, c in zip(elems[1:], self.counts[1:])])
 
-    def _add_pairs(self, i: int, ts: np.ndarray, ss: np.ndarray):
-        """Append to pairs[i] those of the pairs (ts, ss) it does not hold yet."""
-        nc = self.cod.size
-        seen = self.seen[i]
-        codes = ts * nc + ss
-        codes = np.unique(codes[~seen[codes]])
-        seen[codes] = True
-        c = self.counts[i]
-        self.pairs[i][0, c:c + codes.size] = codes // nc
-        self.pairs[i][1, c:c + codes.size] = codes % nc
-        self.counts[i] = c + codes.size
+    # -- closing all candidates of one element ---------------------------------
+
+    def _targets(self, cols: _Columns, vals: list, i: int) -> np.ndarray:
+        """The forced images of the products cols at level i + 1, one row per candidate."""
+        _, t = self._step(cols.ex, vals[0].take(cols.ex_pos, axis=1),
+                          cols.t, vals[i].take(cols.t_pos, axis=1))
+        return t
+
+    def _taken(self, owner: np.ndarray, rows: np.ndarray, images: np.ndarray, at: int):
+        """Rows whose new images (base columns at..) are already taken or repeat.
+
+        owner[row, v] is the base column that took image v in the row's
+        closure so far, or -1; an image the closure took before, or two new
+        columns writing one cell, is a conflict.
+        """
+        cols = np.arange(at, at + images.shape[1], dtype=owner.dtype)
+        rows = rows[:, None]
+        dead = self.used[images].any(axis=1) | (owner[rows, images] != -1).any(axis=1)
+        owner[rows, images] = cols
+        return dead | (owner[rows, images] != cols).any(axis=1)
+
+    def _close_siblings(self, x: int, vs) -> list:
+        """Close img[x] = v for every candidate v at once.
+
+        Returns, per v, None if the closure refutes it, else a row for
+        _install. The plan of x runs with one row per candidate: vals[0]
+        holds the base-pair images by column (the assigned prefix, then
+        the plan's elements) and vals[i] the s of the level-(i + 1) pairs.
+        A row is dropped after the first round in which it conflicts:
+        a checked product disagrees with an assigned image, two products
+        force one element to two images, or, for bijections, an image is
+        taken twice.
+        """
+        if not len(vs):
+            return []
+        plan = self._plan(x)
+        top = self.n - 2
+        m = self.counts[0]
+        live = np.arange(len(vs))
+        vals = []
+        for pairs, c, new in zip(self.pairs, self.counts, [plan.elements] + plan.pair_t):
+            v = np.empty((live.size, c + new.size), dtype=np.int64)
+            v[:, :c] = pairs[1, :c]
+            vals.append(v)
+        vals[0][:, m] = vs
+        dead = np.zeros(live.size, dtype=bool)
+        if self.bijective:
+            owner = np.full((live.size, self.cod.size), -1, dtype=np.int32)
+            dead = self._taken(owner, live, vals[0][:, m:m + 1], m)
+        at = m + 1
+        for rnd in plan.rounds:
+            if dead.any():
+                live, vals = live[~dead], [v[~dead] for v in vals]
+                if not live.size:
+                    break
+            dead = np.zeros(live.size, dtype=bool)
+            step = max(1, _GATHER_CHUNK // live.size)
+            for i, (cols, lo) in enumerate(zip(rnd.pairs, rnd.at)):
+                for j in range(0, len(cols), step):
+                    part = cols[j:j + step]
+                    vals[i + 1][:, lo + j:lo + j + len(part)] = self._targets(part, vals, i)
+            for j in range(0, len(rnd.checked), step):
+                have = vals[0].take(rnd.target[j:j + step], axis=1)
+                dead |= (self._targets(rnd.checked[j:j + step], vals, top) != have).any(axis=1)
+            images = vals[0][:, at:at + rnd.size]
+            for j in range(0, len(rnd.forced), step):
+                t = self._targets(rnd.forced[j:j + step], vals, top)
+                firsts = images[:, j:j + step]
+                firsts[...] = t[:, :firsts.shape[1]]
+                dead |= (t != images.take(rnd.group[j:j + step], axis=1)).any(axis=1)
+            if self.bijective:
+                dead |= self._taken(owner, live, images, at)
+            at += rnd.size
+        rows = [None] * len(vs)
+        for r in np.flatnonzero(~dead):
+            rows[live[r]] = (plan, [v[r] for v in vals])
+        return rows
+
+    def _install(self, row):
+        """Apply a surviving row of _close_siblings; _undo reverts it."""
+        plan, vals = row
+        self.trail.append(self.counts.copy())
+        m = self.counts[0]
+        self.img[plan.elements] = vals[0][m:]
+        if self.bijective:
+            self.used[vals[0][m:]] = True
+        for i, t in enumerate([plan.elements] + plan.pair_t):
+            c = self.counts[i]
+            end = c + t.size
+            if end > self.pairs[i].shape[1]:  # level >= 2: grow the buffer
+                grown = np.empty((2, max(end, 2 * self.pairs[i].shape[1])), dtype=np.int64)
+                grown[:, :c] = self.pairs[i][:, :c]
+                self.pairs[i] = grown
+            self.pairs[i][0, c:end] = t
+            self.pairs[i][1, c:end] = vals[i][c:]
+            self.counts[i] = end
 
     def _undo(self, mark: int):
-        """Revert every round recorded on the trail after position mark."""
+        """Revert every install recorded on the trail after position mark."""
         if len(self.trail) <= mark:
             return
         old = self.trail[mark]
@@ -246,9 +404,6 @@ class _TableSearch:
         self.img[xs] = -1
         if self.bijective:
             self.used[vs] = False
-        for i in range(1, self.n - 1):
-            ts, ss = self.pairs[i][:, old[i]:self.counts[i]]
-            self.seen[i][ts * self.cod.size + ss] = False
         self.counts = old
 
     # -- candidate filtering -------------------------------------------------
@@ -321,12 +476,13 @@ class _TableSearch:
                 yield table
             return
         x = int(free[0])
-        for v in self._candidates(x):
+        for row in self._close_siblings(x, self._candidates(x)):
             self.nodes += 1
-            mark = len(self.trail)
-            if self._assign(x, v):
+            if row is not None:
+                mark = len(self.trail)
+                self._install(row)
                 yield from self._dfs()
-            self._undo(mark)
+                self._undo(mark)
             if self.budget_exceeded:
                 return
             if self._over_budget():
@@ -350,7 +506,7 @@ class MultiplicativeBijectionSearch(_TableSearch):
         return _gather(self.np_mul, xs, ts), _gather(self.np_cod_mul, vs, ss)
 
     def _emit(self):
-        return MapTable(self.domain, self.codomain, table=self.img.copy())
+        return MapTable(self.domain, self.codomain, table=self._finished_table())
 
     def _verify(self, table) -> bool:
         return bool(is_n_multiplicative(table, self.n, tree_mode=self.tree_mode))
@@ -368,7 +524,7 @@ class DerivationSearch(_TableSearch):
         return _gather(mul, xs, ts), target
 
     def _emit(self):
-        return DerivationTable(self.domain, table=self.img.copy())
+        return DerivationTable(self.domain, table=self._finished_table())
 
     def _verify(self, table) -> bool:
         return bool(is_n_derivation(table, self.n, tree_mode=self.tree_mode))
@@ -403,8 +559,10 @@ def enumerate_n_derivations(
     field is (n-1)-torsion free, so register it only under that hypothesis.
     """
     search = DerivationSearch(a, a, n, budget, cap, tree_mode)
-    if not search._assign(0, 0):
+    (row,) = search._close_siblings(0, [0])
+    if row is None:
         raise PreconditionViolated("seeding d(0) = 0 failed; inconsistent tables")
+    search._install(row)
     if idempotent is not None:
         from .peirce import peirce_decompose
 

@@ -4,7 +4,7 @@ Everything here recomputes results from first principles (structure
 table, raw coordinate arithmetic, full enumeration) without going
 through the code paths under test. The reference searches at the end
 share the DFS and the candidate prefilter with the engine and replace
-only its propagation.
+only its closure.
 """
 
 from __future__ import annotations
@@ -223,20 +223,79 @@ def bijections_bruteforce(mul_table: np.ndarray, chunk: int = 20000):
     return sorted(hits)
 
 
+def leibniz_kernel(algebra):
+    """Basis of the derivations D of a prime-field algebra, as d x d matrices.
+
+    The unknowns are the entries D[r][c] (column c is D(b_c)); row (i, j, l)
+    of the system is coordinate l of D(b_i b_j) - D(b_i) b_j - b_i D(b_j).
+    """
+    from jordankit.linalg import kernel_basis
+
+    f = algebra.field
+    d = algebra.dim
+    c = algebra.table
+    rows = []
+    for i, j, l in itertools.product(range(d), repeat=3):
+        row = [f.zero()] * (d * d)
+        for k in range(d):
+            row[l * d + k] = f.add(row[l * d + k], c[i][j][k])
+        for r in range(d):
+            row[r * d + i] = f.sub(row[r * d + i], c[r][j][l])
+            row[r * d + j] = f.sub(row[r * d + j], c[i][r][l])
+        rows.append(row)
+    return [[v[r * d:(r + 1) * d] for r in range(d)] for v in kernel_basis(f, rows)]
+
+
+def span_matrices(field, matrices):
+    """Every F_p linear combination of the given square matrices."""
+    p = field.characteristic
+    d = len(matrices[0])
+    out = []
+    for coeffs in itertools.product(range(p), repeat=len(matrices)):
+        m = [[field.zero()] * d for _ in range(d)]
+        for coeff, basis in zip(coeffs, matrices):
+            cv = field.from_int(coeff)
+            for r in range(d):
+                for col in range(d):
+                    m[r][col] = field.add(m[r][col], field.mul(cv, basis[r][col]))
+        out.append(m)
+    return out
+
+
+def is_permutation_group(tables):
+    """Whether index tables (permutations of range(N)) form a group."""
+    perms = np.array(tables, dtype=np.int64)
+    members = {row.tobytes() for row in perms}
+    if len(members) != len(perms) or np.arange(perms.shape[1]).tobytes() not in members:
+        return False
+    for a in perms:
+        if any(row.tobytes() not in members for row in a[perms]):  # a after b
+            return False
+        if np.argsort(a).tobytes() not in members:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # reference propagation for the table searches
 
 
 class QueuePropagation:
-    """Forcing one image at a time: the reference for the frontier closure.
+    """Forcing one image at a time: the reference for the closure plans.
 
-    Mixed in ahead of a search class, this replaces _assign and _undo by a
-    per-element queue over Python lists and sets, with products read from
-    list-of-lists tables. Level-k pairs (t, s) are extended by each
-    assigned x to level k + 1, and a level-n pair forces img[t] = s; every
-    pair is extended as soon as it appears. The engine state that
-    _candidates and the DFS read (img, used and the assigned prefix
-    pairs[0][:, :counts[0]]) is kept in step.
+    Mixed in ahead of a search class, this replaces the sibling hook
+    _close_siblings, with _install and _undo, by a per-element queue over
+    Python lists and sets, with products read from list-of-lists tables.
+    It shares no plan, no value rows and no closure code with the engine:
+    each candidate is assigned and closed on its own, in order, and
+    undone. Level-k pairs (t, s) are extended by each assigned x to level
+    k + 1, and a level-n pair forces img[t] = s; every pair is extended as
+    soon as it appears, and pairs are kept once per (t, s). A surviving
+    candidate's row is the list of state changes its closure made, which
+    _install replays. The engine state that _candidates and the DFS read
+    (img, used and the assigned prefix pairs[0][:, :counts[0]]) is kept
+    in step. closed counts the candidates the hook closed, so a test can
+    tell that the oracle, not the engine, ran.
     """
 
     def __init__(self, *args):
@@ -248,6 +307,7 @@ class QueuePropagation:
         self.assigned = []
         self.levels = {k: [] for k in range(2, self.n)}
         self.level_seen = {k: set() for k in range(2, self.n)}
+        self.closed = 0
 
     def _extend(self, x, pair):
         raise NotImplementedError
@@ -259,14 +319,29 @@ class QueuePropagation:
         queue.append((t, s))
         return True
 
+    def _apply(self, op):
+        """Make one state change and record it on the trail."""
+        if op[0] == "a":
+            _, x, v = op
+            self.ref_img[x] = v
+            self.img[x] = v
+            self.used[v] = True
+            m = self.counts[0]
+            self.pairs[0][:, m] = x, v
+            self.counts[0] = m + 1
+            self.assigned.append(x)
+        else:
+            _, k, pair = op
+            self.level_seen[k].add(pair)
+            self.levels[k].append(pair)
+        self.trail.append(op)
+
     def _add_pair(self, k, pair, queue):
         if k == self.n:
             return self._force(pair[0], pair[1], queue)
         if pair in self.level_seen[k]:
             return True
-        self.level_seen[k].add(pair)
-        self.levels[k].append(pair)
-        self.trail.append(("p", k, pair))
+        self._apply(("p", k, pair))
         for x in self.assigned:
             if not self._add_pair(k + 1, self._extend(x, pair), queue):
                 return False
@@ -283,14 +358,7 @@ class QueuePropagation:
                 continue
             if self.bijective and self.used[v]:
                 return False
-            self.ref_img[x] = v
-            self.img[x] = v
-            self.used[v] = True
-            m = self.counts[0]
-            self.pairs[0][:, m] = x, v
-            self.counts[0] = m + 1
-            self.assigned.append(x)
-            self.trail.append(("a", x, v))
+            self._apply(("a", x, v))
             # x extends every existing pair one level up
             for k in sorted(self.levels, reverse=True):
                 for pair in list(self.levels[k]):
@@ -306,6 +374,20 @@ class QueuePropagation:
                 elif not self._add_pair(2, self._extend(x, base), queue):
                     return False
         return True
+
+    def _close_siblings(self, x, vs):
+        rows = []
+        for v in vs:
+            self.closed += 1
+            mark = len(self.trail)
+            ok = self._assign(x, v)
+            rows.append(self.trail[mark:] if ok else None)
+            self._undo(mark)
+        return rows
+
+    def _install(self, row):
+        for op in row:
+            self._apply(op)
 
     def _undo(self, mark):
         while len(self.trail) > mark:

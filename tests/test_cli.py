@@ -307,3 +307,12 @@ def test_audit_bad_budget_exits_2(files, flag):
     with pytest.raises(SystemExit) as exc:
         run(["audit", files["k_f3"], "--n", "2", "--mode", "maps", *flag])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("data", [None, [], 5, "matrix"])
+def test_map_file_not_an_object_exits_2(files, tmp_path, capsys, data):
+    map_path = tmp_path / "not_an_object.map"
+    map_path.write_text(json.dumps(data))
+    report = run(["check-derivation", files["k_f3"], str(map_path), "--n", "2"])
+    assert report.exit_code == 2
+    assert "must hold a JSON object" in capsys.readouterr().err

@@ -88,6 +88,23 @@ def test_swapped_entries_not_additive(kf3):
     assert m.apply(x + y) != m.apply(x) + m.apply(y)
 
 
+def test_int32_tables_are_kept_and_decided_alike(kf5):
+    # searches emit int32 tables; the predicates must read them as they
+    # read int64 ones, index arithmetic included (625^2 > 2^16)
+    car = carrier_of(kf5)
+    rng = np.random.default_rng(0)
+    tables = (np.arange(car.size), rng.permutation(car.size), rng.integers(0, car.size, car.size))
+    for table in tables:
+        wide = MapTable(kf5, kf5, table=table.astype(np.int64))
+        narrow = MapTable(kf5, kf5, table=table.astype(np.int32))
+        assert narrow.index_table().dtype == np.int32
+        assert wide.index_table().dtype == np.int64
+        assert is_additive(narrow) == is_additive(wide)
+        assert is_n_multiplicative(narrow, 2) == is_n_multiplicative(wide, 2)
+        d_narrow, d_wide = DerivationTable.from_map(narrow), DerivationTable.from_map(wide)
+        assert is_n_derivation(d_narrow, 2) == is_n_derivation(d_wide, 2)
+
+
 def test_is_bijective(kf3):
     assert is_bijective(MapTable.identity(kf3))
     assert not is_bijective(MapTable.zero(kf3))

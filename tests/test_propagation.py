@@ -1,10 +1,12 @@
-"""The frontier closure against a per-element forcing queue.
+"""The closure plans against a per-element forcing queue.
 
-Both propagations compute the same least fixpoint on a partial table.
-The frontier closure stops once a table is complete, where the queue
-runs on; re-verification rejects any complete table the queue would
-refute. So a search must emit the same tables in the same order, expand
-the same nodes and end in the same budget state with either one.
+Both closures compute the same least fixpoint on a partial table. The
+engine closes all candidates of an element at once, as rows over one
+cached domain plan, and stops once a table is complete, where the queue
+closes one candidate at a time and runs on; re-verification rejects any
+complete table the queue would refute. So a search must emit the same
+tables in the same order, expand the same nodes and end in the same
+budget state with either one, and also when every plan is rebuilt.
 """
 
 import numpy as np
@@ -33,6 +35,8 @@ def assert_same_run(search):
     reference = oracles.reference_search(search)
     got = run(search)
     assert got == run(reference)
+    # the oracle's own sibling hook closed every node, not the engine's plans
+    assert reference.closed >= got[1] and not reference._plans
     return got
 
 
@@ -81,24 +85,58 @@ def test_chunked_gathers_match_reference(kf3, monkeypatch):
     assert nodes == 120
 
 
-def test_frontier_conflicts_fail_and_undo(kf3):
-    search = enumerate_multiplicative_bijections(kf3, kf3, 2)
+def state(search):
+    counts = list(search.counts)
+    pairs = [p[:, :c].tolist() for p, c in zip(search.pairs, counts)]
+    return search.img.tolist(), search.used.tolist(), counts, pairs, list(search.trail)
 
-    def commit(xs, vs):
-        # one round of _assign: record the counts, then commit the frontier
-        search.trail.append(search.counts.copy())
-        return search._commit(np.array(xs), np.array(vs))
 
-    for xs, vs in (
-        ([1, 1], [2, 3]),  # one element forced to two images
-        ([1, 2], [5, 5]),  # one image taken twice within the frontier
-    ):
-        assert not commit(xs, vs)
-        search._undo(0)
-        assert (search.img == -1).all() and not search.used.any()
-        assert search.counts == [0] and search.trail == []
-    assert commit([0], [0])
-    assert not commit([1], [0])  # an image already taken
+F3_UNIT = [[[1]]]  # F3 itself: b0 b0 = b0
+F3_TWICE = [[[2]]]  # b0 b0 = 2 b0
+
+
+CONFLICTS = [
+    # 0 * 0 = 0 is checked against img[0] = 2 itself: 2 * 2 = 1
+    (F3_UNIT, "bijections", 0, 2, "clash with an assigned image"),
+    # d(b1) = b1 forces two images on one element
+    ([[[0, 1], [1, 2]], [[0, 2], [2, 2]]], "derivations", 1, 1, "two images for one element"),
+    # after img[0] = 0
+    (F3_UNIT, "bijections", 1, 0, "image already taken"),
+    (F3_TWICE, "bijections", 1, 2, "image taken earlier in the closure"),
+    ([[[2, 1], [2, 0]], [[0, 0], [1, 2]]], "bijections", 1, 5, "image taken twice in a round"),
+]
+
+
+def test_frontier_conflicts_fail_and_undo(monkeypatch):
+    for table, kind, x, v, conflict in CONFLICTS:
+        dim = len(table)
+        algebra = Algebra(prime_field(3), tuple(f"b{i}" for i in range(dim)), table)
+        search = make_search(algebra, kind, 2)
+        if x and kind == "bijections":
+            (row,) = search._close_siblings(0, [0])
+            search._install(row)
+        before = state(search)
+        assert search._close_siblings(x, [v]) == [None], conflict
+        assert state(search) == before  # a refuted row changes nothing
+        if conflict.startswith("clash"):
+            (rnd,) = search._plan(x).rounds
+            assert rnd.size == 0 and len(rnd.checked) == 1  # nothing forced, one check
+        elif conflict.startswith("two"):
+            assert not search.bijective  # no injectivity test at all
+        else:
+            # the only conflict is injectivity: without it the row survives
+            monkeypatch.setattr(search, "_taken", lambda owner, rows, images, at:
+                                np.zeros(len(rows), dtype=bool))
+            assert search._close_siblings(x, [v]) != [None], conflict
+            monkeypatch.undo()
+        # a surviving sibling installs, and _undo reverts all of it
+        rows = search._close_siblings(x, search._candidates(x))
+        for row in filter(None, rows):
+            mark = len(search.trail)
+            search._install(row)
+            assert state(search) != before
+            search._undo(mark)
+            assert state(search) == before
 
 
 def test_verify_rejects_tables_the_closure_left_unchecked(monkeypatch):
@@ -135,3 +173,40 @@ def test_random_tables_match_reference(algebra, kind, n):
         search = make_search(algebra, kind, n, tree_mode=tree_mode,
                              budget=SearchBudget(max_nodes=150))
         assert_same_run(search)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(f3_algebras(), st.sampled_from(["bijections", "derivations"]), st.integers(2, 3),
+       st.sampled_from(["canonical", "all_trees"]))
+def test_plans_are_value_independent(algebra, kind, n, tree_mode):
+    # a plan cached at one node must serve every node with its assigned
+    # prefix: rebuilding it at every branching point changes nothing
+    def fresh():
+        return make_search(algebra, kind, n, tree_mode=tree_mode,
+                           budget=SearchBudget(max_nodes=150))
+
+    rebuilt = fresh()
+    rebuilt._plan = rebuilt._build_plan
+    rebuilt._plans.clear()  # the plan that seeded d(0) = 0
+    assert run(fresh()) == run(rebuilt)
+    assert not rebuilt._plans
+
+
+def test_plan_count_is_one_per_depth(kf3):
+    search = make_search(kf3, "bijections", 2)
+    tables, nodes, _, _ = run(search)
+    assert (len(tables), nodes) == (48, 556)
+    assert len(search._plans) == 6
+
+
+def test_plans_are_keyed_by_the_assigned_prefix(f3xf3):
+    # one element, two prefixes: the plan cached for the first must not
+    # serve the second
+    search = make_search(f3xf3, "bijections", 2)
+    on_empty = search._plan(1)
+    (row,) = search._close_siblings(0, [0])
+    search._install(row)
+    rebuilt = search._build_plan(1)
+    assert search._plan(1) is not on_empty
+    assert search._plan(1).elements.tolist() == rebuilt.elements.tolist()
+    assert len(search._plans) == 3

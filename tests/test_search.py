@@ -202,6 +202,42 @@ def test_derivation_stream_equals_bracket_span(kf3):
     assert found == span_tables
 
 
+# ---------------------------------------------------------------------------
+# stream completeness, from oracles that share no search code
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_derivation_stream_equals_leibniz_kernel_span(request, p):
+    """The n = 2 stream is the F_p span of the Leibniz system's kernel."""
+    k = request.getfixturevalue(f"kf{p}")
+    kernel = oracles.leibniz_kernel(k)
+    assert len(kernel) == 3
+    span = {tuple(DerivationTable(k, matrix=m).index_table().tolist())
+            for m in oracles.span_matrices(k.field, kernel)}
+    assert len(span) == p**3
+    search = enumerate_n_derivations(k, 2)
+    assert set(table_set(search)) == span and search.exhausted
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_bijection_stream_is_a_group(request, p):
+    """The n = 2 bijections of M2(F_p)^+ are its automorphisms and
+    anti-automorphisms: a group of order 2 |PGL(2, p)|."""
+    k = request.getfixturevalue(f"kf{p}")
+    search = enumerate_multiplicative_bijections(k, k, 2)
+    tables = table_set(search)
+    assert search.exhausted
+    assert len(tables) == 2 * (p**3 - p)  # 48 and 240
+    assert oracles.is_permutation_group(tables)
+
+
+def test_group_oracle_rejects_a_non_group(kf3):
+    tables = table_set(enumerate_multiplicative_bijections(kf3, kf3, 2))
+    identity = tuple(range(len(tables[0])))
+    assert not oracles.is_permutation_group([t for t in tables if t != identity])
+    assert not oracles.is_permutation_group(tables[:-1])
+
+
 def test_derivation_stream_sound(kf3):
     for t in enumerate_n_derivations(kf3, 2):
         assert is_n_derivation(t, 2).ok
