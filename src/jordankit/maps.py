@@ -122,7 +122,13 @@ class FunctionTable:
             self._check_hint_consistency()
 
     def _checked_table(self, table) -> np.ndarray:
-        """The table as an index array, checked against both carrier sizes."""
+        """The table as a new int32 index array, checked against both carrier sizes.
+
+        Every table is stored as int32, half of int64, since an audit keeps
+        all the tables it reads. Indices stay below ENUMERATION_CAP, and
+        the index arithmetic x * N + y of a pair table below its N^2 <=
+        PAIR_TABLE_CAP entries.
+        """
         p = self.domain.field.characteristic
         q = self.codomain.field.characteristic
         if p == 0 or q == 0:
@@ -136,10 +142,6 @@ class FunctionTable:
             raise FormatError(f"a function table holds integer indices: {exc}") from exc
         if arr.dtype.kind not in "iu":
             raise FormatError(f"function table entries must be integers, not {arr.dtype}")
-        # int32 is kept as it is: index arithmetic x * N + y stays below the
-        # N^2 <= PAIR_TABLE_CAP entries of a pair table
-        if arr.dtype != np.int32:
-            arr = arr.astype(np.int64, copy=False)
         if arr.shape != (dom_size,):
             raise FormatError(
                 f"function table has shape {arr.shape}, the domain carrier has {dom_size} elements"
@@ -150,7 +152,7 @@ class FunctionTable:
             raise FormatError(
                 f"function table entry {i} is {int(arr[i])}, outside [0, {cod_size})"
             )
-        return arr
+        return arr.astype(np.int32)
 
     # -- construction ------------------------------------------------------
 
@@ -190,7 +192,7 @@ class FunctionTable:
     def index_table(self, cap=ENUMERATION_CAP) -> np.ndarray:
         """The full index table, materializing it from the matrix if needed."""
         if self._table is None:
-            self._table = self._matrix_table(cap)
+            self._table = self._checked_table(self._matrix_table(cap))
         return self._table
 
     def has_table(self) -> bool:

@@ -8,36 +8,41 @@ elements has value t and that the map must send t to s. Level 1 holds
 the base pairs (x, img x); a level-(k+1) pair is a step of an assigned x
 onto a level-k pair; a level-n pair forces img[t] = s.
 
-The closure is semi-naive and runs in rounds over whole frontiers. Each
-round commits the forced images found so far, then gathers, level by
+The closure is semi-naive and runs in rounds. Each round takes the
+images forced in the last one as new base pairs and gathers, level by
 level, only the products that involve something new: (new x) x (old
-level-k pairs) and (all x) x (new level-k pairs). A round fails when a
-forced image clashes with an assigned one, when one element is forced
-to two images, or, for bijections, when an image is taken twice. The
-closure is a least fixpoint and a conflict is a property of the closed
-set, so neither depends on the order of computation.
+level-k pairs) and (all x) x (new level-k pairs), where a level's new
+pairs include those the level below found in the same round. The top
+level's products force images. A round fails when a forced image
+clashes with an assigned one, when one element is forced to two images,
+or, for bijections, when an image is taken twice. The closure is a
+least fixpoint and a conflict is a property of the closed set, so
+neither depends on the order of computation.
 
-Which elements a closure touches does not depend on the value v tried
+Which elements a round touches does not depend on the value v tried
 for the branching element x: a product z = mul[x, t] is a domain
 product, an element is forced exactly when it is an unassigned z, and
-the stop rules count elements. So a closure splits into a domain plan
-and a value side. The plan (_Plan, built once per assigned prefix and
-x, then cached on the search) lists, round by round, the operand
-positions of every product, the products that land on an assigned
-element and are checked against its image, and, for the rest, which
-forced element each one hits, with its first occurrence. Every node at
-one depth has the same assigned prefix, so a K/F5 search builds about
-as many plans as it has depths. The value side runs a plan for all
-candidates of x at once, one row per candidate over shared columns,
-and drops a row at its first conflict; each surviving row is installed
-as it is and searched below without being closed again.
+the stop rules count elements. So the top-level gather of a round
+splits into a domain plan and a value side. The plan (_Round, built
+once per state and cached on the search) lists the operand positions of
+every product, the products that land on an assigned element and are
+checked against its image, and, for the rest, which forced element each
+one hits, with its first occurrence. The value side runs the rounds of
+a closure for all candidates of x at once, one row per candidate over
+shared columns, and drops a row at its first conflict; each surviving
+row is installed as it is and searched below without being closed
+again.
 
-For n >= 3 the level-k pairs are indexed by derivation, (step x, pair
-it extends), not deduplicated by (t, s): t is a domain value shared by
-all rows and s is per row. A pair that repeats only repeats a
-constraint, so the closure is the same; it just gathers more columns.
-With m assigned elements there are m^k level-k pairs: at most N^2 for
-n = 3, as many as a (t, s) deduplication allows, but more for n >= 4.
+For n >= 3 a state also holds the t of the pairs at each level >= 2;
+s is per row. A new pair that repeats an earlier one, the same t and row
+by row the same s, is dropped: in every row it only repeats a
+constraint. For a single row this keeps one pair per (t, s), at most
+N^2 a level, where pairs indexed by derivation would number m^k with m
+assigned elements. Which pairs are dropped depends on the values, so the
+gathers below the top level are laid out when a round runs, and the t
+of every level are part of a plan's key. The closures at one depth
+still mostly start from one state: a K/F3 bijection search builds 12
+plans at n = 2 and 9 at n = 3.
 
 The closure stops once every element has an image. Re-verification is
 its last step: each complete table is checked by the maps-module
@@ -54,7 +59,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -82,9 +86,11 @@ class SearchBudget:
             raise ValueError(f"max_witnesses must be >= 0, got {self.max_witnesses}")
 
 
-# Products per gather in one closure round, counted over all candidate rows.
-# Bounds peak memory where many candidates meet many products (n >= 3 on
-# large carriers).
+# Products of one gather evaluated at once, counted over all candidate rows.
+# Bounds the temporaries of a _step call where many candidates meet many
+# products (n >= 3 on large carriers); the rows' values themselves, one
+# per pair, and for bijections one owner per codomain element, are not
+# chunked.
 _GATHER_CHUNK = 1 << 18
 
 
@@ -113,59 +119,57 @@ class _Columns:
         return _Columns(self.ex[cols], self.ex_pos[cols], self.t[cols], self.t_pos[cols])
 
 
-def _block_columns(base: np.ndarray, level_t: np.ndarray, blocks, cols: np.ndarray) -> _Columns:
-    """The products at positions cols of a gather made of row-major blocks.
+def _semi_naive(base: np.ndarray, old_base: int, level_t: np.ndarray, old: int) -> _Columns:
+    """The products (new x) x (old pairs), then (all x) x (new pairs), row-major.
 
-    Block (e0, e1, t0, t1) steps the base elements at columns e0..e1 onto
-    the pairs at columns t0..t1 of the level whose t are level_t. Plans
-    stay cached for the whole search, so their arrays are int32.
+    The first old_base base elements and the first old pairs, whose t are
+    level_t, are old. The arrays are int32: a plan keeps its columns for
+    the whole search.
     """
-    ex_pos = np.empty(cols.size, dtype=np.int32)
-    t_pos = np.empty(cols.size, dtype=np.int32)
-    lo = 0
-    for e0, e1, t0, t1 in blocks:
-        hi = lo + (e1 - e0) * (t1 - t0)
-        sel = (cols >= lo) & (cols < hi)
-        q, r = np.divmod(cols[sel] - lo, max(t1 - t0, 1))
-        ex_pos[sel] = q + e0
-        t_pos[sel] = r + t0
-        lo = hi
+    blocks = ((old_base, base.size, 0, old), (0, base.size, old, level_t.size))
+    ex_pos = np.concatenate([np.repeat(np.arange(e0, e1, dtype=np.int32), t1 - t0)
+                             for e0, e1, t0, t1 in blocks])
+    t_pos = np.concatenate([np.tile(np.arange(t0, t1, dtype=np.int32), e1 - e0)
+                            for e0, e1, t0, t1 in blocks])
     return _Columns(base[ex_pos].astype(np.int32), ex_pos, level_t[t_pos].astype(np.int32), t_pos)
+
+
+def _distinct(t: np.ndarray, s: np.ndarray, old: int):
+    """The pairs (t, s) without the new columns (from old on) that repeat one in every row.
+
+    s holds one row per candidate. A column is dropped when an earlier
+    column has the same t and, row by row, the same s: in every row it
+    only repeats a constraint.
+    """
+    if t.size == old:
+        return t, s
+    key = np.vstack([t, s])
+    order = np.lexsort(key)  # stable: a run of equal columns starts at its first
+    runs = key[:, order]
+    keep = np.ones(t.size, dtype=bool)
+    keep[order[1:][(runs[:, 1:] == runs[:, :-1]).all(axis=0)]] = False
+    keep[:old] = True
+    return t[keep], s[:, keep]
 
 
 @dataclass
 class _Round:
-    """One semi-naive round of a closure plan.
+    """The domain side of a closure round's top-level gather, for every row.
 
-    pairs[i] are the level-(i + 1) products, whose values become the new
-    level-(i + 2) pairs from column at[i] on. At the top level, checked are
-    the products that land on an assigned element, whose image is at base
-    column target; forced are the rest. Product j of forced hits the
-    forced element group[j], and the first `size` products are the first
-    occurrences of the groups, in order.
+    The gather starts from a state: the base elements (the t of the base
+    pairs) and the t of the pairs at each level >= 2, each list split
+    into an old prefix and a new rest. Its products are (new x) x (old
+    pairs) and (all x) x (new pairs) at the top level. checked are the
+    products on a base element, whose base column is target, and forced
+    are the rest: product j hits elements[group[j]], and the first
+    elements.size products are the first occurrences, in order.
     """
 
-    pairs: list[_Columns]
-    at: list[int]
     checked: _Columns
     target: np.ndarray
     forced: _Columns
     group: np.ndarray
-    size: int
-
-
-@dataclass
-class _Plan:
-    """The domain side of closing an assignment img[x] = v, for every v.
-
-    elements are the elements the closure assigns (x first, then each
-    round's forced elements in ascending order) and pair_t the t of the
-    pairs it adds at each level >= 2, in column order.
-    """
-
-    rounds: list[_Round]
     elements: np.ndarray
-    pair_t: list[np.ndarray]
 
 
 class _TableSearch:
@@ -196,7 +200,7 @@ class _TableSearch:
         self.np_cod_add = cod.add
         self._arange = np.arange(cod.size, dtype=np.int64)
         # search state: pairs[i][:, :counts[i]] holds the level-(i + 1)
-        # pairs (t, s), in the column order of the plans that added them;
+        # pairs (t, s), in the column order of the rounds that added them;
         # level 1 is the assignment itself, in commit order.
         self.img = np.full(self.size, -1, dtype=np.int64)
         self.used = np.zeros(cod.size, dtype=bool)
@@ -205,7 +209,7 @@ class _TableSearch:
         self.counts = [0] * (n - 1)
         self.trail: list[list[int]] = []  # counts before each install
         self.domains: dict[int, list[int]] = {}
-        self._plans: dict[tuple, _Plan] = {}
+        self._plans: dict[tuple, _Round] = {}
         # run record
         self.nodes = 0
         self.exhausted = False
@@ -225,77 +229,47 @@ class _TableSearch:
     def _emit(self):
         raise NotImplementedError
 
-    def _finished_table(self) -> np.ndarray:
-        """The complete table, as int32: a stream's consumers may keep every table."""
-        return self.img.astype(np.int32)
-
     def _verify(self, table) -> bool:
         raise NotImplementedError
 
     # -- closure plans -------------------------------------------------------
 
-    def _plan(self, x: int) -> _Plan:
-        """The cached plan for closing img[x] on the current assigned prefix."""
-        key = (x, self.pairs[0][0, :self.counts[0]].tobytes())
+    def _plan(self, ts: list, old: list) -> _Round:
+        """The cached plan of the top-level gather from the state (ts, old)."""
+        key = (tuple(old), tuple(t.tobytes() for t in ts))
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = self._build_plan(x)
+            plan = self._plans[key] = self._build_plan(ts, old)
         return plan
 
-    def _build_plan(self, x: int) -> _Plan:
-        """Run the closure of img[x] on domain elements alone.
+    def _build_plan(self, ts: list, old: list) -> _Round:
+        """Gather the top level on domain elements alone.
 
-        Each round gathers (new x) x (old level-k pairs) and (all x) x (new
-        level-k pairs), level by level, as the semi-naive closure does. At
-        the top level a product on an assigned element is a check, and the
-        distinct unassigned ones are the next frontier. Once they cover the
-        carrier the round is cut after the product that completes the
-        table, and the plan ends; it also ends at a round that forces
-        nothing. None of this reads an image.
+        A product on a base element is a check, and the distinct other
+        ones are the round's forced elements. Once they cover the carrier,
+        the gather is cut after the product that completes the table. None
+        of this reads an image.
         """
         top = self.n - 2
-        m = self.counts[0]
-        elems = [np.append(self.pairs[0][0, :m], x)]
-        elems += [self.pairs[i][0, :self.counts[i]] for i in range(1, top + 1)]
+        base = ts[0]
+        cols = _semi_naive(base, old[0], ts[top], old[top])
+        z = _gather(self.np_mul, cols.ex, cols.t)
         pos = np.full(self.size, -1, dtype=np.int64)
-        pos[elems[0]] = np.arange(m + 1)
-        old = [m] + self.counts[1:]
-        rounds = []
-        while elems[0].size < self.size:
-            base = elems[0]
-            pairs, at = [], []
-            for i in range(top + 1):
-                # (new x) x (old pairs), then (all x) x (new pairs)
-                blocks = ((old[0], base.size, 0, old[i]), (0, base.size, old[i], elems[i].size))
-                z = np.concatenate([
-                    _gather(self.np_mul, base[e0:e1, None], elems[i][None, t0:t1]).ravel()
-                    for e0, e1, t0, t1 in blocks
-                ])
-                if i < top:
-                    pairs.append(_block_columns(base, elems[i], blocks, np.arange(z.size)))
-                    at.append(elems[i + 1].size)
-                    elems[i + 1] = np.concatenate([elems[i + 1], z])
-            assigned = pos[z]
-            free = np.flatnonzero(assigned == -1)
-            forced, first = np.unique(z[free], return_index=True)
-            if forced.size == self.size - base.size:  # complete: cut the round
-                free = free[:first.max() + 1]
-                assigned = assigned[:free[-1] + 1]
-            checked = np.flatnonzero(assigned != -1)
-            rest = np.ones(free.size, dtype=bool)
-            rest[first] = False
-            order = free[np.concatenate([first, np.flatnonzero(rest)])]
-            top_columns = partial(_block_columns, base, elems[top], blocks)
-            rounds.append(_Round(
-                pairs, at, top_columns(checked), assigned[checked].astype(np.int32),
-                top_columns(order), np.searchsorted(forced, z[order]).astype(np.int32), forced.size,
-            ))
-            old = [e.size for e in elems]
-            pos[forced] = np.arange(base.size, base.size + forced.size)
-            elems[0] = np.concatenate([base, forced])
-            if not forced.size:
-                break
-        return _Plan(rounds, elems[0][m:], [e[c:] for e, c in zip(elems[1:], self.counts[1:])])
+        pos[base] = np.arange(base.size)
+        assigned = pos[z]
+        free = np.flatnonzero(assigned == -1)
+        forced, first = np.unique(z[free], return_index=True)
+        if forced.size == self.size - base.size:  # complete: cut the gather
+            free = free[:first.max() + 1]
+            assigned = assigned[:free[-1] + 1]
+        checked = np.flatnonzero(assigned != -1)
+        rest = np.ones(free.size, dtype=bool)
+        rest[first] = False
+        order = free[np.concatenate([first, np.flatnonzero(rest)])]
+        return _Round(
+            cols[checked], assigned[checked].astype(np.int32),
+            cols[order], np.searchsorted(forced, z[order]).astype(np.int32), forced,
+        )
 
     # -- closing all candidates of one element ---------------------------------
 
@@ -318,72 +292,86 @@ class _TableSearch:
         owner[rows, images] = cols
         return dead | (owner[rows, images] != cols).any(axis=1)
 
+    def _state(self, x: int):
+        """The state a closure of img[x] starts from: all old but x.
+
+        ts[0] are the assigned elements, then x, and ts[i] the t of the
+        level-(i + 1) pairs; old counts the old prefix of each.
+        """
+        m = self.counts[0]
+        ts = [np.append(self.pairs[0][0, :m], x)]
+        ts += [p[0, :c] for p, c in zip(self.pairs[1:], self.counts[1:])]
+        return ts, [m] + self.counts[1:]
+
     def _close_siblings(self, x: int, vs) -> list:
         """Close img[x] = v for every candidate v at once.
 
         Returns, per v, None if the closure refutes it, else a row for
-        _install. The plan of x runs with one row per candidate: vals[0]
-        holds the base-pair images by column (the assigned prefix, then
-        the plan's elements) and vals[i] the s of the level-(i + 1) pairs.
-        A row is dropped after the first round in which it conflicts:
-        a checked product disagrees with an assigned image, two products
-        force one element to two images, or, for bijections, an image is
-        taken twice.
+        _install. The rounds run with one row per candidate: vals[0] holds
+        the base-pair images by column (the assigned prefix, x, then each
+        round's forced elements) and vals[i] the s of the level-(i + 1)
+        pairs. A round gathers each level below the top and keeps the new
+        pairs that _distinct keeps, then the top level by its plan. A row
+        is dropped after the first round in which it conflicts: a checked
+        product disagrees with an assigned image, two products force one
+        element to two images, or, for bijections, an image is taken
+        twice. The closure ends when the table is complete or a round
+        forces nothing.
         """
         if not len(vs):
             return []
-        plan = self._plan(x)
+        ts, old = self._state(x)
         top = self.n - 2
-        m = self.counts[0]
-        live = np.arange(len(vs))
-        vals = []
-        for pairs, c, new in zip(self.pairs, self.counts, [plan.elements] + plan.pair_t):
-            v = np.empty((live.size, c + new.size), dtype=np.int64)
-            v[:, :c] = pairs[1, :c]
-            vals.append(v)
-        vals[0][:, m] = vs
-        dead = np.zeros(live.size, dtype=bool)
+        vs = np.asarray(vs, dtype=np.int64)
+        live = np.arange(vs.size)
         if self.bijective:
-            owner = np.full((live.size, self.cod.size), -1, dtype=np.int32)
-            dead = self._taken(owner, live, vals[0][:, m:m + 1], m)
-        at = m + 1
-        for rnd in plan.rounds:
-            if dead.any():
-                live, vals = live[~dead], [v[~dead] for v in vals]
-                if not live.size:
-                    break
-            dead = np.zeros(live.size, dtype=bool)
+            owner = np.full((vs.size, self.cod.size), -1, dtype=np.int32)
+            live = live[~self._taken(owner, live, vs[:, None], old[0])]
+        vals = [np.repeat(p[1:, :c], live.size, axis=0) for p, c in zip(self.pairs, self.counts)]
+        vals[0] = np.column_stack([vals[0], vs[live]])
+        while live.size and old[0] < ts[0].size < self.size:
             step = max(1, _GATHER_CHUNK // live.size)
-            for i, (cols, lo) in enumerate(zip(rnd.pairs, rnd.at)):
+            for i in range(top):
+                cols = _semi_naive(ts[0], old[0], ts[i], old[i])
+                s = np.empty((live.size, len(cols)), dtype=np.int64)
                 for j in range(0, len(cols), step):
-                    part = cols[j:j + step]
-                    vals[i + 1][:, lo + j:lo + j + len(part)] = self._targets(part, vals, i)
+                    s[:, j:j + step] = self._targets(cols[j:j + step], vals, i)
+                ts[i + 1], vals[i + 1] = _distinct(
+                    np.concatenate([ts[i + 1], _gather(self.np_mul, cols.ex, cols.t)]),
+                    np.concatenate([vals[i + 1], s], axis=1), old[i + 1])
+            rnd = self._plan(ts, old)
+            dead = np.zeros(live.size, dtype=bool)
             for j in range(0, len(rnd.checked), step):
                 have = vals[0].take(rnd.target[j:j + step], axis=1)
                 dead |= (self._targets(rnd.checked[j:j + step], vals, top) != have).any(axis=1)
-            images = vals[0][:, at:at + rnd.size]
+            images = np.empty((live.size, rnd.elements.size), dtype=np.int64)
             for j in range(0, len(rnd.forced), step):
                 t = self._targets(rnd.forced[j:j + step], vals, top)
                 firsts = images[:, j:j + step]
                 firsts[...] = t[:, :firsts.shape[1]]
                 dead |= (t != images.take(rnd.group[j:j + step], axis=1)).any(axis=1)
             if self.bijective:
-                dead |= self._taken(owner, live, images, at)
-            at += rnd.size
-        rows = [None] * len(vs)
-        for r in np.flatnonzero(~dead):
-            rows[live[r]] = (plan, [v[r] for v in vals])
+                dead |= self._taken(owner, live, images, ts[0].size)
+            if dead.any():
+                live, images, vals = live[~dead], images[~dead], [v[~dead] for v in vals]
+            old = [t.size for t in ts]
+            ts[0] = np.concatenate([ts[0], rnd.elements])
+            vals[0] = np.concatenate([vals[0], images], axis=1)
+        added = [t[c:] for t, c in zip(ts, self.counts)]
+        vals = [v[:, c:].copy() for v, c in zip(vals, self.counts)]
+        rows = [None] * vs.size
+        for r, row in enumerate(live):
+            rows[row] = (added, [v[r] for v in vals])
         return rows
 
     def _install(self, row):
         """Apply a surviving row of _close_siblings; _undo reverts it."""
-        plan, vals = row
+        ts, vals = row
         self.trail.append(self.counts.copy())
-        m = self.counts[0]
-        self.img[plan.elements] = vals[0][m:]
+        self.img[ts[0]] = vals[0]
         if self.bijective:
-            self.used[vals[0][m:]] = True
-        for i, t in enumerate([plan.elements] + plan.pair_t):
+            self.used[vals[0]] = True
+        for i, (t, s) in enumerate(zip(ts, vals)):
             c = self.counts[i]
             end = c + t.size
             if end > self.pairs[i].shape[1]:  # level >= 2: grow the buffer
@@ -391,7 +379,7 @@ class _TableSearch:
                 grown[:, :c] = self.pairs[i][:, :c]
                 self.pairs[i] = grown
             self.pairs[i][0, c:end] = t
-            self.pairs[i][1, c:end] = vals[i][c:]
+            self.pairs[i][1, c:end] = s
             self.counts[i] = end
 
     def _undo(self, mark: int):
@@ -506,7 +494,7 @@ class MultiplicativeBijectionSearch(_TableSearch):
         return _gather(self.np_mul, xs, ts), _gather(self.np_cod_mul, vs, ss)
 
     def _emit(self):
-        return MapTable(self.domain, self.codomain, table=self._finished_table())
+        return MapTable(self.domain, self.codomain, table=self.img.copy())
 
     def _verify(self, table) -> bool:
         return bool(is_n_multiplicative(table, self.n, tree_mode=self.tree_mode))
@@ -524,7 +512,7 @@ class DerivationSearch(_TableSearch):
         return _gather(mul, xs, ts), target
 
     def _emit(self):
-        return DerivationTable(self.domain, table=self._finished_table())
+        return DerivationTable(self.domain, table=self.img.copy())
 
     def _verify(self, table) -> bool:
         return bool(is_n_derivation(table, self.n, tree_mode=self.tree_mode))

@@ -173,6 +173,20 @@ def test_audit_derivations(files, capsys):
     assert "verdict d(e) in Jhalf for all witnesses: pass" in out
 
 
+@pytest.mark.parametrize("mode,witnesses", [("maps", 48), ("derivations", 27)])
+def test_audit_higher_degrees(files, capsys, mode, witnesses):
+    # n = 4 finds the n = 2 witnesses; at n = 5 re-verifying a table
+    # needs 81^5 evaluations, beyond the default budget
+    report = run(["audit", files["k_f3"], "--n", "4", "--mode", mode])
+    out = output_of(capsys)
+    assert report.exit_code == 0
+    assert f"witnesses: {witnesses}" in out
+    assert "exhausted: true" in out and "result: PASS" in out
+    report = run(["audit", files["k_f3"], "--n", "5", "--mode", mode])
+    assert report.exit_code == 2
+    assert "3486784401 evaluations exceed budget" in capsys.readouterr().err
+
+
 def test_audit_budget_flags(files, capsys):
     report = run(
         ["audit", files["k_f3"], "--n", "2", "--mode", "maps", "--budget-witnesses", "3"]

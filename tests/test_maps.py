@@ -88,21 +88,21 @@ def test_swapped_entries_not_additive(kf3):
     assert m.apply(x + y) != m.apply(x) + m.apply(y)
 
 
-def test_int32_tables_are_kept_and_decided_alike(kf5):
-    # searches emit int32 tables; the predicates must read them as they
-    # read int64 ones, index arithmetic included (625^2 > 2^16)
+def test_tables_are_int32_copies(kf5):
+    # one table format whatever the input; 625^2 pair-table indices fit
     car = carrier_of(kf5)
-    rng = np.random.default_rng(0)
-    tables = (np.arange(car.size), rng.permutation(car.size), rng.integers(0, car.size, car.size))
-    for table in tables:
-        wide = MapTable(kf5, kf5, table=table.astype(np.int64))
-        narrow = MapTable(kf5, kf5, table=table.astype(np.int32))
-        assert narrow.index_table().dtype == np.int32
-        assert wide.index_table().dtype == np.int64
-        assert is_additive(narrow) == is_additive(wide)
-        assert is_n_multiplicative(narrow, 2) == is_n_multiplicative(wide, 2)
-        d_narrow, d_wide = DerivationTable.from_map(narrow), DerivationTable.from_map(wide)
-        assert is_n_derivation(d_narrow, 2) == is_n_derivation(d_wide, 2)
+    perm = np.random.default_rng(0).permutation(car.size)
+    for dtype in (np.int64, np.int32, np.uint16):
+        source = perm.astype(dtype)
+        m = MapTable(kf5, kf5, table=source)
+        source[0] = source[1]  # the map keeps its own copy
+        assert m.index_table().dtype == np.int32
+        assert m.index_table().tolist() == perm.tolist()
+    assert MapTable.identity(kf5).index_table().dtype == np.int32
+    identity = MapTable(kf5, kf5, table=np.arange(car.size))
+    assert is_additive(identity) and is_n_multiplicative(identity, 2)
+    assert not is_additive(MapTable(kf5, kf5, table=perm))
+    assert is_n_derivation(DerivationTable.from_map(MapTable.zero(kf5)), 2)
 
 
 def test_is_bijective(kf3):

@@ -1,8 +1,9 @@
 """The closure plans against a per-element forcing queue.
 
 Both closures compute the same least fixpoint on a partial table. The
-engine closes all candidates of an element at once, as rows over one
-cached domain plan, and stops once a table is complete, where the queue
+engine closes all candidates of an element at once, as rows over
+shared columns laid out by cached domain plans, and stops once a table
+is complete, where the queue
 closes one candidate at a time and runs on; re-verification rejects any
 complete table the queue would refute. So a search must emit the same
 tables in the same order, expand the same nodes and end in the same
@@ -119,8 +120,8 @@ def test_frontier_conflicts_fail_and_undo(monkeypatch):
         assert search._close_siblings(x, [v]) == [None], conflict
         assert state(search) == before  # a refuted row changes nothing
         if conflict.startswith("clash"):
-            (rnd,) = search._plan(x).rounds
-            assert rnd.size == 0 and len(rnd.checked) == 1  # nothing forced, one check
+            rnd = search._plan(*search._state(x))
+            assert rnd.elements.size == 0 and len(rnd.checked) == 1  # nothing forced, one check
         elif conflict.startswith("two"):
             assert not search.bijective  # no injectivity test at all
         else:
@@ -179,8 +180,8 @@ def test_random_tables_match_reference(algebra, kind, n):
 @given(f3_algebras(), st.sampled_from(["bijections", "derivations"]), st.integers(2, 3),
        st.sampled_from(["canonical", "all_trees"]))
 def test_plans_are_value_independent(algebra, kind, n, tree_mode):
-    # a plan cached at one node must serve every node with its assigned
-    # prefix: rebuilding it at every branching point changes nothing
+    # a plan cached at one closure state must serve every closure that
+    # reaches the state: rebuilding it at every round changes nothing
     def fresh():
         return make_search(algebra, kind, n, tree_mode=tree_mode,
                            budget=SearchBudget(max_nodes=150))
@@ -192,21 +193,109 @@ def test_plans_are_value_independent(algebra, kind, n, tree_mode):
     assert not rebuilt._plans
 
 
-def test_plan_count_is_one_per_depth(kf3):
-    search = make_search(kf3, "bijections", 2)
+@pytest.mark.parametrize("n,plans", [(2, 12), (3, 9)])
+def test_plan_count_repeats(kf3, n, plans):
+    # every closure at one depth starts from the same state, so a whole
+    # search builds a few plans per depth
+    search = make_search(kf3, "bijections", n)
     tables, nodes, _, _ = run(search)
     assert (len(tables), nodes) == (48, 556)
-    assert len(search._plans) == 6
+    assert len(search._plans) == plans
 
 
-def test_plans_are_keyed_by_the_assigned_prefix(f3xf3):
-    # one element, two prefixes: the plan cached for the first must not
-    # serve the second
+def test_plans_are_keyed_by_the_state(f3xf3):
+    # one element, two assigned prefixes: the plan cached for the first
+    # must not serve the second
     search = make_search(f3xf3, "bijections", 2)
-    on_empty = search._plan(1)
+    on_empty = search._plan(*search._state(1))
     (row,) = search._close_siblings(0, [0])
     search._install(row)
-    rebuilt = search._build_plan(1)
-    assert search._plan(1) is not on_empty
-    assert search._plan(1).elements.tolist() == rebuilt.elements.tolist()
+    state = search._state(1)
+    assert search._plan(*state) is not on_empty
+    assert search._plan(*state).elements.tolist() == search._build_plan(*state).elements.tolist()
     assert len(search._plans) == 3
+
+
+def assert_closures_match(search, rng):
+    """Walk a random path; the closures must refute what the queue
+    refutes, and every level must hold the queue's pairs as a set."""
+    reference = oracles.reference_search(search)
+    while True:
+        x = int(np.flatnonzero(search.img == -1)[0])
+        vs = search._candidates(x)
+        rows = search._close_siblings(x, vs)
+        for row, ref_row in zip(rows, reference._close_siblings(x, vs)):
+            if row is None:
+                assert ref_row is None
+            elif ref_row is None:  # the engine stops at a complete table
+                assert len(row[0][0]) == (search.img == -1).sum()
+        survivors = [(v, row) for v, row in zip(vs, rows) if row is not None]
+        if not survivors:
+            return
+        v, row = survivors[rng.integers(len(survivors))]
+        search._install(row)
+        if (search.img != -1).all():
+            return
+        (ref_row,) = reference._close_siblings(x, [v])
+        reference._install(ref_row)
+        for k in range(2, search.n):
+            pairs = search.pairs[k - 1][:, :search.counts[k - 1]]
+            assert set(zip(*pairs.tolist())) == set(reference.levels[k])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_closed_pairs_match_reference(seed):
+    # random general tables: a product of a pair found in a round with an
+    # element assigned before it, once lost, shows on these paths
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        dim = int(rng.integers(2, 4))
+        table = rng.integers(0, 3, (dim, dim, dim)).tolist()
+        algebra = Algebra(prime_field(3), tuple(f"b{i}" for i in range(dim)), table)
+        for n in (4, 5):
+            for kind in ("bijections", "derivations"):
+                assert_closures_match(make_search(algebra, kind, n), rng)
+
+
+def test_plans_are_keyed_by_every_level(kf3):
+    # two states with one base and as many level-2 pairs, in another order
+    search = make_search(kf3, "bijections", 3)
+    for x in (0, 1, 2):
+        rows = search._close_siblings(x, search._candidates(x))
+        search._install(next(filter(None, rows)))
+    ts, old = search._state(3)
+    assert len(set(ts[1].tolist())) > 1
+    swapped = [ts[0], ts[1][::-1].copy()]
+    plan = search._plan(ts, old)
+    assert search._plan(swapped, old) is not plan
+    assert search._plan(swapped, old).target.tolist() == \
+        search._build_plan(swapped, old).target.tolist()
+
+
+def test_new_pairs_repeating_in_every_row_are_dropped():
+    t = np.array([5, 5, 7, 5, 5, 7, 8])
+    s = np.array([[1, 1, 2, 1, 1, 2, 0],
+                  [3, 3, 4, 3, 9, 4, 0]])
+    # old columns 0-2 stay as they are, repeats included; column 3 repeats
+    # column 0 in both rows, column 5 repeats column 2; column 4 differs
+    # from column 0 in the second row
+    t, s = search_module._distinct(t, s, 3)
+    assert t.tolist() == [5, 5, 7, 5, 8]
+    assert s.tolist() == [[1, 1, 2, 1, 0], [3, 3, 4, 9, 0]]
+
+
+@pytest.mark.parametrize("kind", ["bijections", "derivations"])
+def test_degree_4_pair_lists_stay_bounded(kf3, kind, monkeypatch):
+    # pairs indexed by derivation grow as m^k with m assigned elements;
+    # deduplicated, a level holds at most one pair per (t, s)
+    search = make_search(kf3, kind, 4, budget=SearchBudget(max_nodes=150))
+    peak = [0] * 3
+    install = search._install
+
+    def counting_install(row):
+        install(row)
+        peak[:] = map(max, peak, search.counts)
+
+    monkeypatch.setattr(search, "_install", counting_install)
+    assert_same_run(search)
+    assert max(peak[1:]) <= search.size**2
