@@ -29,17 +29,17 @@ from .errors import (
     EnumerationTooLarge,
     FormatError,
 )
-from .linalg import solve_unique
+from .linalg import mat_vec, solve_unique
 from .scalars import Field, field_from_spec
 
 # The most elements (p**dim) that any exhaustive enumeration walks.
 ENUMERATION_CAP = 10**6
 
 
-def check_enumerable(p: int, d: int, cap: int = ENUMERATION_CAP) -> None:
-    """Raise EnumerationTooLarge when a carrier of p**d elements exceeds cap."""
-    if p**d > cap:
-        raise EnumerationTooLarge(f"carrier size {p}^{d} exceeds cap {cap}")
+def check_enumerable(p: int, d: int) -> None:
+    """Raise EnumerationTooLarge when a carrier of p**d elements exceeds ENUMERATION_CAP."""
+    if p**d > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"carrier size {p}^{d} exceeds cap {ENUMERATION_CAP}")
 
 
 class Algebra:
@@ -379,14 +379,7 @@ class MultOperator:
         a = self.generator.algebra
         if x.algebra is not a:
             raise AlgebraMismatch("element belongs to a different algebra")
-        f = a.field
-        out = []
-        for row in self.matrix:
-            s = f.zero()
-            for c, v in zip(row, x.coords):
-                s = f.add(s, f.mul(c, v))
-            out.append(s)
-        return Element(a, tuple(out))
+        return Element(a, tuple(mat_vec(a.field, self.matrix, list(x.coords))))
 
 
 def mult_operators(a: Algebra, x: Element) -> tuple[MultOperator, MultOperator]:
@@ -576,6 +569,10 @@ def algebra_from_dict(data: dict) -> Algebra:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise FormatError(f"name must be a string, got {name!r}")
+    try:
+        name.encode("utf-8")  # reports echo the name, so it must print
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"name {name!r} is not valid UTF-8 text") from exc
     if not isinstance(data["products"], list):
         raise FormatError(f"products must be a list, got {data['products']!r}")
     zero = f.zero()
@@ -601,10 +598,18 @@ def save_algebra(a: Algebra, path) -> None:
         fh.write("\n")
 
 
-def load_algebra(path) -> Algebra:
+def read_json(path):
+    """The JSON document in a file; a file that is not UTF-8 JSON is a FormatError.
+
+    A malformed document, bytes that are not UTF-8, and an integer past
+    the interpreter's digit limit all raise ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:
             raise FormatError(f"not valid JSON: {path} ({exc})") from exc
-    return algebra_from_dict(data)
+
+
+def load_algebra(path) -> Algebra:
+    return algebra_from_dict(read_json(path))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import ENUMERATION_CAP, Algebra, Element, check_enumerable
+from .algebra import Algebra, Element, check_enumerable
 from .errors import CarrierInfinite, EnumerationTooLarge
 
 PAIR_TABLE_CAP = 25_000_000  # entries per N x N table
@@ -20,12 +20,12 @@ PAIR_TABLE_CAP = 25_000_000  # entries per N x N table
 class FiniteCarrier:
     """All elements of an algebra over F_p, indexed lexicographically."""
 
-    def __init__(self, algebra: Algebra, cap: int = ENUMERATION_CAP):
+    def __init__(self, algebra: Algebra):
         p = algebra.field.characteristic
         if p == 0:
             raise CarrierInfinite("algebras over the rationals have no finite carrier")
         d = algebra.dim
-        check_enumerable(p, d, cap)
+        check_enumerable(p, d)
         self.algebra = algebra
         self.p = p
         self.dim = d
@@ -119,10 +119,8 @@ class FiniteCarrier:
         return mask
 
 
-def carrier_of(a: Algebra, cap: int = ENUMERATION_CAP) -> FiniteCarrier:
-    """The (cached) finite carrier of an algebra over a prime field."""
+def carrier_of(a: Algebra) -> FiniteCarrier:
+    """The finite carrier of an algebra over a prime field, built once and cached."""
     if a._carrier is None:
-        a._carrier = FiniteCarrier(a, cap=cap)
-    else:
-        check_enumerable(a._carrier.p, a.dim, cap)
+        a._carrier = FiniteCarrier(a)
     return a._carrier

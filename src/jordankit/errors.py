@@ -22,7 +22,7 @@ class ArityMismatch(JordankitError):
 
 
 class EnumerationTooLarge(JordankitError):
-    """An exhaustive enumeration would exceed the configured cap."""
+    """An exhaustive enumeration would exceed one of the fixed size limits."""
 
 
 class ModeUnsupported(JordankitError):
@@ -50,7 +50,7 @@ class NoncommutativeDomain(JordankitError):
 
 
 class BudgetExceeded(JordankitError):
-    """An exhaustive scan would exceed the evaluation budget."""
+    """An exhaustive scan would exceed the fixed evaluation budget."""
 
 
 class NotDerivation(JordankitError):

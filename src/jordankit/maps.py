@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    ENUMERATION_CAP,
     Algebra,
     Element,
     Leaf,
@@ -63,6 +62,7 @@ from .algebra import (
     mult_operators,
     multiply,
     noncommuting_pair,
+    read_json,
 )
 from .carrier import FiniteCarrier, carrier_of
 from .errors import (
@@ -82,7 +82,7 @@ from .linalg import invert, mat_mul, mat_sub, mat_vec
 from .peirce import PeirceDecomposition, peirce_decompose, peirce_project
 from .scalars import is_torsion_free
 
-DEFAULT_EVAL_BUDGET = 10**8
+EVAL_BUDGET = 10**8  # the most evaluations one predicate check may run
 _CHUNK = 1 << 20
 # the trees of additivity (x1 + x2, over the sum tables) and of the
 # Jordan semitriple forms
@@ -165,8 +165,8 @@ class FunctionTable:
         return cls._construct(domain, codomain, matrix=matrix)
 
     @classmethod
-    def from_entries(cls, domain: Algebra, codomain: Algebra, pairs, cap=ENUMERATION_CAP):
-        table = _table_from_pairs(carrier_of(domain, cap), carrier_of(codomain, cap), pairs)
+    def from_entries(cls, domain: Algebra, codomain: Algebra, pairs):
+        table = _table_from_pairs(carrier_of(domain), carrier_of(codomain), pairs)
         return cls._construct(domain, codomain, table=table)
 
     @classmethod
@@ -183,16 +183,16 @@ class FunctionTable:
 
     # -- basic access --------------------------------------------------------
 
-    def domain_carrier(self, cap=ENUMERATION_CAP) -> FiniteCarrier:
-        return carrier_of(self.domain, cap)
+    def domain_carrier(self) -> FiniteCarrier:
+        return carrier_of(self.domain)
 
-    def codomain_carrier(self, cap=ENUMERATION_CAP) -> FiniteCarrier:
-        return carrier_of(self.codomain, cap)
+    def codomain_carrier(self) -> FiniteCarrier:
+        return carrier_of(self.codomain)
 
-    def index_table(self, cap=ENUMERATION_CAP) -> np.ndarray:
+    def index_table(self) -> np.ndarray:
         """The full index table, materializing it from the matrix if needed."""
         if self._table is None:
-            self._table = self._checked_table(self._matrix_table(cap))
+            self._table = self._checked_table(self._matrix_table())
         return self._table
 
     def has_table(self) -> bool:
@@ -200,10 +200,10 @@ class FunctionTable:
             return True
         return self.matrix is not None and self.domain.field.characteristic != 0
 
-    def _matrix_table(self, cap=ENUMERATION_CAP) -> np.ndarray:
+    def _matrix_table(self) -> np.ndarray:
         """The index table of the matrix over F_p."""
         m = np.array([[int(c) for c in row] for row in self.matrix], dtype=np.int64)
-        return self.codomain_carrier(cap).encode(self.domain_carrier(cap).coords @ m.T)
+        return self.codomain_carrier().encode(self.domain_carrier().coords @ m.T)
 
     def _check_hint_consistency(self):
         hint = self._matrix_table()
@@ -221,11 +221,11 @@ class FunctionTable:
         cod = self.codomain_carrier()
         return cod.element_at(int(self._table[dom.index_of(x)]))
 
-    def entries(self, cap=ENUMERATION_CAP):
+    def entries(self):
         """Iterate (x, image) pairs over the finite carrier."""
-        dom = self.domain_carrier(cap)
-        cod = self.codomain_carrier(cap)
-        table = self.index_table(cap)
+        dom = self.domain_carrier()
+        cod = self.codomain_carrier()
+        table = self.index_table()
         for i in range(dom.size):
             yield dom.element_at(i), cod.element_at(int(table[i]))
 
@@ -340,9 +340,9 @@ def _derivation(d, mul, add):
     return mismatch
 
 
-def _check_budget(total: int, budget: int) -> None:
-    if total > budget:
-        raise BudgetExceeded(f"{total} evaluations exceed budget {budget}")
+def _check_budget(total: int) -> None:
+    if total > EVAL_BUDGET:
+        raise BudgetExceeded(f"{total} evaluations exceed budget {EVAL_BUDGET}")
 
 
 def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
@@ -365,32 +365,32 @@ def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
     return Verdict(True)
 
 
-def _sum_identity(t: FunctionTable, cap: int):
+def _sum_identity(t: FunctionTable):
     """The domain carrier and the additivity identity of t on x1 + x2."""
-    dom, cod = t.domain_carrier(cap), t.codomain_carrier(cap)
-    return dom, _homomorphism(t.index_table(cap).take, _table_op(dom.add), _table_op(cod.add))
+    dom, cod = t.domain_carrier(), t.codomain_carrier()
+    return dom, _homomorphism(t.index_table().take, _table_op(dom.add), _table_op(cod.add))
 
 
-def _additive_on_generators(t: FunctionTable, cap: int) -> bool:
+def _additive_on_generators(t: FunctionTable) -> bool:
     """phi(x + g) = phi(x) + phi(g) for every carrier x and g in {0} and the basis.
 
     This decides additivity: generators of the additive group suffice, and
     g = 0 forces phi(0) = 0, which the basis alone does not when dim = 0.
     """
-    dom, mismatch = _sum_identity(t, cap)
+    dom, mismatch = _sum_identity(t)
     generators = [dom.zero_index] + [dom.basis_index(i) for i in range(dom.dim)]
     slots = [np.arange(dom.size, dtype=np.int64), np.array(generators, dtype=np.int64)]
     return not mismatch(_SUM, _slot_grids(slots)).any()
 
 
-def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool, budget: int) -> Verdict:
+def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     """The first (tree, args) of basis tuples at which a linear map fails.
 
     Trees go outermost, then the basis tuples of _slot_candidates.
     """
     a = t.domain
     ranges = [_slot_candidates(tree, n, a.basis_elements(), operator.add) for tree in trees]
-    _check_budget(sum(math.prod(map(len, r)) for r in ranges), budget)
+    _check_budget(sum(math.prod(map(len, r)) for r in ranges))
     mul = functools.partial(multiply, a)
     if derivation:
         mismatch = _derivation(t.apply, mul, operator.add)
@@ -400,7 +400,7 @@ def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool, budget: int) 
     return Verdict(True) if hit is None else Verdict(False, hit)
 
 
-def _check(t: FunctionTable, n: int, trees, derivation: bool, budget: int, cap: int) -> Verdict:
+def _check(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     """The first (tree, args) at which t fails the identity of its kind.
 
     A matrix over the rationals runs on basis tuples. A table is decided
@@ -412,13 +412,13 @@ def _check(t: FunctionTable, n: int, trees, derivation: bool, budget: int, cap: 
     if derivation and t.domain is not t.codomain:
         raise AlgebraMismatch("a derivation needs codomain == domain")
     if not t.has_table():
-        return _basis_scan(t, n, trees, derivation, budget)
-    dom = t.domain_carrier(cap)
-    _check_budget(dom.size**n * len(trees), budget)
+        return _basis_scan(t, n, trees, derivation)
+    dom = t.domain_carrier()
+    _check_budget(dom.size**n * len(trees))
     kind = _derivation if derivation else _homomorphism
-    second = dom.add if derivation else t.codomain_carrier(cap).mul
-    mismatch = kind(t.index_table(cap).take, _table_op(dom.mul), _table_op(second))
-    if _additive_on_generators(t, cap):
+    second = dom.add if derivation else t.codomain_carrier().mul
+    mismatch = kind(t.index_table().take, _table_op(dom.mul), _table_op(second))
+    if _additive_on_generators(t):
         basis = [dom.basis_index(i) for i in range(dom.dim)]
         for tree in trees:
             slots = _slot_candidates(tree, n, basis, _table_op(dom.add))
@@ -434,11 +434,11 @@ def _pair_witness(v: Verdict) -> Verdict:
     return v if v.ok else Verdict(False, v.witness[1])
 
 
-def _semitriple(t: FunctionTable, derivation: bool, cap: int) -> Verdict:
+def _semitriple(t: FunctionTable, derivation: bool) -> Verdict:
     """The identity of the kind on (x1 x2) x1, for a commutative domain."""
     if noncommuting_pair(t.domain) is not None:
         raise NoncommutativeDomain("predicate is only defined over commutative algebras")
-    return _pair_witness(_check(t, 2, [_SEMITRIPLE], derivation, DEFAULT_EVAL_BUDGET, cap))
+    return _pair_witness(_check(t, 2, [_SEMITRIPLE], derivation))
 
 
 def _trees_for(n: int, tree_mode: str):
@@ -455,58 +455,46 @@ def _trees_for(n: int, tree_mode: str):
 # predicates
 
 
-def is_additive(t: FunctionTable, cap=ENUMERATION_CAP) -> Verdict:
+def is_additive(t: FunctionTable) -> Verdict:
     """phi(x + y) = phi(x) + phi(y) on every carrier pair."""
     if not t.has_table():
         return Verdict(True)  # a matrix-backed map is linear, hence additive
-    if _additive_on_generators(t, cap):
+    if _additive_on_generators(t):
         return Verdict(True)
-    dom, mismatch = _sum_identity(t, cap)
+    dom, mismatch = _sum_identity(t)
     return _pair_witness(_grid_scan(dom, 2, [_SUM], mismatch))
 
 
-def is_bijective(t: FunctionTable, cap=ENUMERATION_CAP) -> bool:
+def is_bijective(t: FunctionTable) -> bool:
     """True iff the map is a bijection onto the codomain carrier."""
     if t.has_table():
-        dom = t.domain_carrier(cap)
-        cod = t.codomain_carrier(cap)
+        dom = t.domain_carrier()
+        cod = t.codomain_carrier()
         if dom.size != cod.size:
             return False
-        table = t.index_table(cap)
+        table = t.index_table()
         return int(np.unique(table).size) == dom.size
     if t.domain.dim != t.codomain.dim:
         return False
     return invert(t.domain.field, t.matrix) is not None
 
 
-def is_n_multiplicative(
-    t: FunctionTable,
-    n: int,
-    tree_mode: str = "canonical",
-    budget: int = DEFAULT_EVAL_BUDGET,
-    cap=ENUMERATION_CAP,
-) -> Verdict:
+def is_n_multiplicative(t: FunctionTable, n: int, tree_mode: str = "canonical") -> Verdict:
     """phi(m(x_1..x_n)) = m(phi(x_1)..phi(x_n)) for the selected monomials."""
-    return _check(t, n, _trees_for(n, tree_mode), False, budget, cap)
+    return _check(t, n, _trees_for(n, tree_mode), False)
 
 
-def is_jordan_semitriple(t: FunctionTable, cap=ENUMERATION_CAP) -> Verdict:
+def is_jordan_semitriple(t: FunctionTable) -> Verdict:
     """phi((xy)x) = (phi(x)phi(y))phi(x) on a commutative domain."""
-    return _semitriple(t, False, cap)
+    return _semitriple(t, False)
 
 
-def is_n_derivation(
-    t: DerivationTable,
-    n: int,
-    tree_mode: str = "canonical",
-    budget: int = DEFAULT_EVAL_BUDGET,
-    cap=ENUMERATION_CAP,
-) -> Verdict:
+def is_n_derivation(t: DerivationTable, n: int, tree_mode: str = "canonical") -> Verdict:
     """d(m(x...)) = sum_i m(x_1,..,d(x_i),..,x_n) for the selected monomials."""
-    return _check(t, n, _trees_for(n, tree_mode), True, budget, cap)
+    return _check(t, n, _trees_for(n, tree_mode), True)
 
 
-def is_jordan_triple_derivation(t: DerivationTable, cap=ENUMERATION_CAP) -> Verdict:
+def is_jordan_triple_derivation(t: DerivationTable) -> Verdict:
     """d((xy)x) = (d(x)y)x + (x d(y))x + (xy)d(x) on a commutative domain.
 
     Each summand substitutes d into one slot of (xy)x, keeping the
@@ -514,7 +502,7 @@ def is_jordan_triple_derivation(t: DerivationTable, cap=ENUMERATION_CAP) -> Verd
     two applications of the product rule produce, and the one genuine
     derivations satisfy.
     """
-    return _semitriple(t, True, cap)
+    return _semitriple(t, True)
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +538,6 @@ def reduce_derivation(
     d: DerivationTable,
     n: int,
     decomposition: PeirceDecomposition | None = None,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    cap=ENUMERATION_CAP,
 ) -> DerivationTable:
     """The reduced derivation x -> D_{d(e),4e}(x) - 3 d(x), vanishing at e.
 
@@ -566,7 +552,7 @@ def reduce_derivation(
         raise TorsionViolation("field must be 2-torsion free")
     if not is_torsion_free(f, n - 1):
         raise TorsionViolation(f"field must be {n - 1}-torsion free")
-    verdict = is_n_derivation(d, n, budget=budget, cap=cap)
+    verdict = is_n_derivation(d, n)
     if not verdict:
         raise NotDerivation(f"table fails the degree-{n} derivation identity at {verdict.witness}")
     dec = decomposition if decomposition is not None else peirce_decompose(a, e)
@@ -586,19 +572,17 @@ def reduce_derivation(
         )
         delta = DerivationTable(a, matrix=delta_matrix)
     else:
-        dom = d.domain_carrier(cap)
-        inner_map = inner.index_table(cap)
+        dom = d.domain_carrier()
+        inner_map = inner.index_table()
         minus3 = dom.scalar_map(f.neg(three))
-        delta_table = dom.add[inner_map, minus3[d.index_table(cap)]]
+        delta_table = dom.add[inner_map, minus3[d.index_table()]]
         delta = DerivationTable(a, table=delta_table)
     if not delta.apply(e).is_zero():
         raise JordankitError("internal error: reduced derivation does not vanish at e")
     return delta
 
 
-def derivation_peirce_check(
-    delta: DerivationTable, dec: PeirceDecomposition, cap=ENUMERATION_CAP
-) -> Verdict:
+def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) -> Verdict:
     """True iff delta maps every Peirce component into itself."""
     a = delta.domain
     if a is not dec.algebra:
@@ -607,8 +591,8 @@ def derivation_peirce_check(
         raise PreconditionViolated("reduced derivation must vanish at the idempotent")
     keys = ("1", "half", "0")
     if delta.has_table():
-        dom = delta.domain_carrier(cap)
-        table = delta.index_table(cap)
+        dom = delta.domain_carrier()
+        table = delta.index_table()
         for key in keys:
             basis = dec.component_basis(key)
             idxs = dom.span_indices(basis)
@@ -630,7 +614,7 @@ def derivation_peirce_check(
 # map-table file format
 
 
-def map_table_to_dict(t: FunctionTable, cap=ENUMERATION_CAP) -> dict:
+def map_table_to_dict(t: FunctionTable) -> dict:
     from .algebra import algebra_to_dict
 
     data = {
@@ -640,10 +624,8 @@ def map_table_to_dict(t: FunctionTable, cap=ENUMERATION_CAP) -> dict:
     if t.matrix is not None:
         f = t.domain.field
         data["matrix"] = [[f.format(c) for c in row] for row in t.matrix]
-    if t._table is not None or (t.matrix is None and t.has_table()):
-        data["entries"] = [
-            {"in": x.text(), "out": y.text()} for x, y in t.entries(cap)
-        ]
+    if t._table is not None:
+        data["entries"] = [{"in": x.text(), "out": y.text()} for x, y in t.entries()]
     return data
 
 
@@ -680,7 +662,6 @@ def map_table_from_dict(
     domain: Algebra | None = None,
     codomain: Algebra | None = None,
     base_dir=None,
-    cap=ENUMERATION_CAP,
 ) -> MapTable:
     """Load a map table; explicit algebras override the file's own."""
     from .algebra import algebra_from_dict, load_algebra
@@ -720,26 +701,22 @@ def map_table_from_dict(
                 "explicit entries need a finite carrier; use a matrix over the rationals"
             )
         pairs = _entry_pairs(data["entries"], dom, cod)
-        table = _table_from_pairs(carrier_of(dom, cap), carrier_of(cod, cap), pairs)
+        table = _table_from_pairs(carrier_of(dom), carrier_of(cod), pairs)
     if matrix is None and table is None:
         raise FormatError("map file needs 'entries' or 'matrix'")
     return MapTable(dom, cod, table=table, matrix=matrix)
 
 
-def load_map_table(path, domain=None, codomain=None, cap=ENUMERATION_CAP) -> MapTable:
+def load_map_table(path, domain=None, codomain=None) -> MapTable:
     import os
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not valid JSON: {path} ({exc})") from exc
     return map_table_from_dict(
-        data, domain=domain, codomain=codomain, base_dir=os.path.dirname(os.path.abspath(path)), cap=cap
+        read_json(path), domain=domain, codomain=codomain,
+        base_dir=os.path.dirname(os.path.abspath(path)),
     )
 
 
-def save_map_table(t: FunctionTable, path, cap=ENUMERATION_CAP) -> None:
+def save_map_table(t: FunctionTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_table_to_dict(t, cap), fh, indent=2, sort_keys=True)
+        json.dump(map_table_to_dict(t), fh, indent=2, sort_keys=True)
         fh.write("\n")

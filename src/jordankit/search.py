@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ENUMERATION_CAP, Algebra, Element
+from .algebra import Algebra, Element
 from .carrier import carrier_of
 from .errors import ArityMismatch, CarrierSizeMismatch, PreconditionViolated
 from .maps import DerivationTable, MapTable, is_additive, is_n_derivation, is_n_multiplicative
@@ -178,7 +178,7 @@ class _TableSearch:
     bijective = False
 
     def __init__(self, domain: Algebra, codomain: Algebra, n: int,
-                 budget: SearchBudget | None, cap: int, tree_mode: str):
+                 budget: SearchBudget | None, tree_mode: str):
         if n < 2:
             raise ArityMismatch(f"search needs monomial degree >= 2, got {n}")
         self.domain = domain
@@ -186,8 +186,8 @@ class _TableSearch:
         self.n = n
         self.tree_mode = tree_mode
         self.budget = budget or SearchBudget()
-        dom = carrier_of(domain, cap)
-        cod = carrier_of(codomain, cap)
+        dom = carrier_of(domain)
+        cod = carrier_of(codomain)
         if self.bijective and dom.size != cod.size:
             raise CarrierSizeMismatch(
                 f"no bijection between carriers of sizes {dom.size} and {cod.size}"
@@ -524,10 +524,9 @@ def enumerate_multiplicative_bijections(
     n: int,
     budget: SearchBudget | None = None,
     tree_mode: str = "canonical",
-    cap: int = ENUMERATION_CAP,
 ) -> MultiplicativeBijectionSearch:
     """Depth-first enumeration of n-multiplicative bijections; iterate to run."""
-    return MultiplicativeBijectionSearch(domain, codomain, n, budget, cap, tree_mode)
+    return MultiplicativeBijectionSearch(domain, codomain, n, budget, tree_mode)
 
 
 def enumerate_n_derivations(
@@ -537,7 +536,6 @@ def enumerate_n_derivations(
     idempotent: Element | None = None,
     decomposition: PeirceDecomposition | None = None,
     tree_mode: str = "canonical",
-    cap: int = ENUMERATION_CAP,
 ) -> DerivationSearch:
     """Depth-first enumeration of tables satisfying the n-derivation identity.
 
@@ -546,7 +544,7 @@ def enumerate_n_derivations(
     to the half eigenspace; that is where d(e) provably lands whenever the
     field is (n-1)-torsion free, so register it only under that hypothesis.
     """
-    search = DerivationSearch(a, a, n, budget, cap, tree_mode)
+    search = DerivationSearch(a, a, n, budget, tree_mode)
     (row,) = search._close_siblings(0, [0])
     if row is None:
         raise PreconditionViolated("seeding d(0) = 0 failed; inconsistent tables")

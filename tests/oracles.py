@@ -427,8 +427,7 @@ def reference_search(search):
     derivation twin seeds d(0) = 0 as enumerate_n_derivations does.
     """
     cls = ReferenceBijectionSearch if search.bijective else ReferenceDerivationSearch
-    ref = cls(search.domain, search.codomain, search.n, search.budget,
-              max(search.dom.size, search.cod.size), search.tree_mode)
+    ref = cls(search.domain, search.codomain, search.n, search.budget, search.tree_mode)
     if not search.bijective and not ref._assign(0, 0):
         raise AssertionError("seeding d(0) = 0 failed in the reference")
     ref.domains = dict(search.domains)

@@ -13,6 +13,7 @@ from jordankit import (
 )
 
 import oracles
+from conftest import diagonal_product_algebra
 
 
 def test_carrier_lexicographic_order(kf3):
@@ -84,6 +85,6 @@ def test_rational_carrier_is_infinite(kq):
         carrier_of(kq)
 
 
-def test_carrier_cap(kf3):
-    with pytest.raises(EnumerationTooLarge):
-        carrier_of(kf3, cap=80)
+def test_carrier_cap(f3):
+    with pytest.raises(EnumerationTooLarge):  # 3^13 elements exceed ENUMERATION_CAP
+        carrier_of(diagonal_product_algebra(f3, 13))

@@ -90,12 +90,23 @@ def map_commands(alg, map_path):
 
 
 def exit_code(monkeypatch, capsys, argv):
+    return exit_and_stderr(monkeypatch, capsys, argv)[0]
+
+
+def exit_and_stderr(monkeypatch, capsys, argv):
     monkeypatch.setattr("sys.argv", ["jordankit", *argv])
     with pytest.raises(SystemExit) as exc:
         cli.main()
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    return exc.value.code
+    return exc.value.code, err
+
+
+def assert_bad_input(monkeypatch, capsys, argv):
+    """argv exits 2 with one 'error:' line on stderr."""
+    code, err = exit_and_stderr(monkeypatch, capsys, argv)
+    assert code == 2, argv
+    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 @settings(max_examples=100, deadline=None, database=None,
@@ -122,3 +133,41 @@ def test_mutated_map_file_keeps_exit_contract(inputs, monkeypatch, capsys, data,
     bad.write_text(json.dumps(mutate(maps[kind], path, how)))
     for argv in map_commands(str(root / "jordanified-m2.alg"), str(bad)):
         assert exit_code(monkeypatch, capsys, argv) in (0, 1, 2), (path, how, argv)
+
+
+# bytes that are not UTF-8, and an integer past the interpreter's digit limit
+UNDECODABLE = [b"\xff\xfe\x00bad", b'{"dim": ' + b"1" * 5000 + b"}"]
+
+
+@pytest.mark.parametrize("content", UNDECODABLE, ids=["not-utf8", "long-int"])
+def test_undecodable_algebra_file_exits_2(inputs, monkeypatch, capsys, content):
+    root, _, maps = inputs
+    bad = root / "undecodable.alg"
+    bad.write_bytes(content)
+    good = str(root / "jordanified-m2.alg")
+    map_path = root / "identity.map"
+    map_path.write_text(json.dumps(maps["matrix"]))
+    argvs = algebra_commands(str(bad), good, str(map_path))
+    argvs.append(["check-map", good, str(bad), str(map_path), "--n", "2"])
+    for argv in argvs:
+        assert_bad_input(monkeypatch, capsys, argv)
+
+
+@pytest.mark.parametrize("content", UNDECODABLE, ids=["not-utf8", "long-int"])
+def test_undecodable_map_file_exits_2(inputs, monkeypatch, capsys, content):
+    root = inputs[0]
+    bad = root / "undecodable.map"
+    bad.write_bytes(content)
+    for argv in map_commands(str(root / "jordanified-m2.alg"), str(bad)):
+        assert_bad_input(monkeypatch, capsys, argv)
+
+
+def test_algebra_name_with_lone_surrogate_exits_2(inputs, monkeypatch, capsys):
+    root, algebra, maps = inputs
+    bad = root / "surrogate.alg"
+    bad.write_text(json.dumps({**algebra, "name": "x\ud800"}))  # the JSON escape \ud800
+    assert "\\ud800" in bad.read_text()
+    map_path = root / "identity.map"
+    map_path.write_text(json.dumps(maps["matrix"]))
+    for argv in algebra_commands(str(bad), str(root / "m2.alg"), str(map_path)):
+        assert_bad_input(monkeypatch, capsys, argv)

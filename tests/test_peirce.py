@@ -88,13 +88,13 @@ def test_find_idempotents_heuristic_extra(kq):
     assert off_grid.coords not in plain
 
 
-def test_find_idempotents_mode_errors(kq, kf3):
+def test_find_idempotents_mode_errors(kq, f3):
     with pytest.raises(ModeUnsupported):
         find_idempotents(kq, mode="exhaustive")
     with pytest.raises(ModeUnsupported):
         find_idempotents(kq, mode="bogus")
     with pytest.raises(EnumerationTooLarge):
-        find_idempotents(kf3, mode="exhaustive", cap=80)
+        find_idempotents(diagonal_product_algebra(f3, 13), mode="exhaustive")
 
 
 def test_find_idempotents_heuristic_dim_cap(q):

@@ -206,28 +206,49 @@ def test_derivation_stream_equals_bracket_span(kf3):
 # stream completeness, from oracles that share no search code
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_derivation_stream_equals_leibniz_kernel_span(request, p):
+def stream_algebra(request, name):
+    """A conftest fixture by name, or spin3_f<p>: spin3_algebra(p)."""
+    if name.startswith("spin3_f"):
+        return spin3_algebra(int(name[len("spin3_f"):]))
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name,kernel_dim", [
+    pytest.param("kf3", 3, id="3"),
+    pytest.param("kf5", 3, id="5"),
+    ("spin3_f3", 1),
+    ("spin3_f5", 1),
+    ("spin3_f7", 1),
+    ("m2f3", 3),
+])
+def test_derivation_stream_equals_leibniz_kernel_span(request, name, kernel_dim):
     """The n = 2 stream is the F_p span of the Leibniz system's kernel."""
-    k = request.getfixturevalue(f"kf{p}")
+    k = stream_algebra(request, name)
     kernel = oracles.leibniz_kernel(k)
-    assert len(kernel) == 3
+    assert len(kernel) == kernel_dim
     span = {tuple(DerivationTable(k, matrix=m).index_table().tolist())
             for m in oracles.span_matrices(k.field, kernel)}
-    assert len(span) == p**3
+    assert len(span) == k.field.characteristic**kernel_dim
     search = enumerate_n_derivations(k, 2)
     assert set(table_set(search)) == span and search.exhausted
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_bijection_stream_is_a_group(request, p):
-    """The n = 2 bijections of M2(F_p)^+ are its automorphisms and
-    anti-automorphisms: a group of order 2 |PGL(2, p)|."""
-    k = request.getfixturevalue(f"kf{p}")
+@pytest.mark.parametrize("name,order", [
+    # M2(F_p)^+: automorphisms and anti-automorphisms, 2 |PGL(2, p)|
+    pytest.param("kf3", 2 * (3**3 - 3), id="3"),
+    pytest.param("kf5", 2 * (5**3 - 5), id="5"),
+    ("spin3_f3", 8),
+    ("spin3_f5", 8),
+    ("spin3_f7", 16),
+    ("m2f3", 3**3 - 3),  # M2(F_3): its automorphisms, PGL(2, 3)
+])
+def test_bijection_stream_is_a_group(request, name, order):
+    """The n = 2 bijections form a permutation group of the expected order."""
+    k = stream_algebra(request, name)
     search = enumerate_multiplicative_bijections(k, k, 2)
     tables = table_set(search)
     assert search.exhausted
-    assert len(tables) == 2 * (p**3 - p)  # 48 and 240
+    assert len(tables) == order
     assert oracles.is_permutation_group(tables)
 
 
