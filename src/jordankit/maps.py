@@ -36,7 +36,10 @@ first-failure scan that also decides the ring identities.
 The full scan of every carrier n-tuple runs only when one of those
 checks fails, and then it alone gives the verdict and the witness. It
 walks whole rows of the first slot at a time, so the first failing entry
-of a chunk in C order is the first witness in lexicographic order.
+of a chunk in C order is the first witness in lexicographic order. Its
+N^n evaluations per tree are charged against EVAL_BUDGET when it starts,
+so a table decided on generators and basis tuples is never refused for
+the size of a scan it does not run.
 """
 
 from __future__ import annotations
@@ -353,6 +356,7 @@ def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
     C-order argmax of a chunk is the first witness in it.
     """
     size = dom.size
+    _check_budget(size**n * len(trees))
     values = np.arange(size, dtype=np.int64)
     rows = max(1, _CHUNK // size ** (n - 1))
     for tree in trees:
@@ -414,7 +418,6 @@ def _check(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     if not t.has_table():
         return _basis_scan(t, n, trees, derivation)
     dom = t.domain_carrier()
-    _check_budget(dom.size**n * len(trees))
     kind = _derivation if derivation else _homomorphism
     second = dom.add if derivation else t.codomain_carrier().mul
     mismatch = kind(t.index_table().take, _table_op(dom.mul), _table_op(second))

@@ -72,31 +72,26 @@ def find_idempotents(a: Algebra, mode: str = "heuristic", extra=()):
     every 0/1 coordinate vector plus caller-supplied candidates.
     """
     f = a.field
-    found = {}
     if mode == "exhaustive":
         p = f.characteristic
         if p == 0:
             raise ModeUnsupported("exhaustive idempotent search needs a finite field")
         check_enumerable(p, a.dim)
-        for coords in itertools.product(range(p), repeat=a.dim):
-            e = Element(a, coords)
-            if not e.is_zero() and multiply(a, e, e) == e:
-                found[coords] = e
+        coords = itertools.product(range(p), repeat=a.dim)
+        candidates = (Element(a, c) for c in coords)
     elif mode == "heuristic":
         if a.dim > HEURISTIC_DIM_CAP:
             raise EnumerationTooLarge(f"0/1 sweep over dim {a.dim} exceeds 2^{HEURISTIC_DIM_CAP}")
-        zero, one = f.zero(), f.one()
-        for bits in itertools.product((zero, one), repeat=a.dim):
-            e = Element(a, bits)
-            if not e.is_zero() and multiply(a, e, e) == e:
-                found[e.coords] = e
-        for cand in extra:
-            if cand.algebra is not a:
-                raise AlgebraMismatch("candidate belongs to a different algebra")
-            if not cand.is_zero() and multiply(a, cand, cand) == cand:
-                found[cand.coords] = cand
+        bits = itertools.product((f.zero(), f.one()), repeat=a.dim)
+        candidates = itertools.chain((Element(a, b) for b in bits), extra)
     else:
         raise ModeUnsupported(f"unknown idempotent search mode {mode!r}")
+    found = {}
+    for e in candidates:
+        if e.algebra is not a:
+            raise AlgebraMismatch("candidate belongs to a different algebra")
+        if not e.is_zero() and multiply(a, e, e) == e:
+            found[e.coords] = e
     hits = [IdempotentHit(e, idempotent_class(a, e)) for _, e in sorted(found.items())]
     return hits
 
@@ -147,9 +142,6 @@ class PeirceDecomposition:
     def component_basis(self, key: str):
         return {"1": self.basis1, "half": self.basis_half, "0": self.basis0}[key]
 
-    def project(self, x: Element) -> tuple[Element, Element, Element]:
-        return peirce_project(self, x)
-
 
 def peirce_decompose(
     a: Algebra, e: Element, allow_noncommutative: bool = False
@@ -179,13 +171,7 @@ def peirce_decompose(
         shifted = mat_sub(f, op, [[f.mul(lam, c) for c in row] for row in ident])
         rows = kernel_basis(f, shifted)
         components.append([Element(a, tuple(v)) for v in rows])
-    basis1, basis_half, basis0 = components
-    if len(basis1) + len(basis_half) + len(basis0) != d:
-        raise DecompositionIncomplete(
-            f"eigenspace dimensions {(len(basis1), len(basis_half), len(basis0))} "
-            f"do not exhaust dim {d}"
-        )
-    return PeirceDecomposition(a, e, basis1, basis_half, basis0)
+    return PeirceDecomposition(a, e, *components)
 
 
 def peirce_project(dec: PeirceDecomposition, x: Element) -> tuple[Element, Element, Element]:

@@ -33,6 +33,15 @@ shared columns, and drops a row at its first conflict; each surviving
 row is installed as it is and searched below without being closed
 again.
 
+The candidates of x are prefiltered in the same terms: with the assigned
+elements followed by x as the base, the level-1 gather of x as the one
+new base element holds x y, y x and x x for every assigned y. The
+products that land on a base element are checked against its image, one
+row per value tried, with the value in x's column. Which products those
+are depends only on the base, so they are cached per base, apart from
+the plans: a plan's gather is cut once the table is complete, and the
+prefilter checks every product.
+
 For n >= 3 a state also holds the t of the pairs at each level >= 2;
 s is per row. A new pair that repeats an earlier one, the same t and row
 by row the same s, is dropped: in every row it only repeats a
@@ -62,7 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Algebra, Element
+from .algebra import Algebra
 from .carrier import carrier_of
 from .errors import ArityMismatch, CarrierSizeMismatch, PreconditionViolated
 from .maps import DerivationTable, MapTable, is_additive, is_n_derivation, is_n_multiplicative
@@ -198,7 +207,6 @@ class _TableSearch:
         self.np_mul = dom.mul
         self.np_cod_mul = cod.mul
         self.np_cod_add = cod.add
-        self._arange = np.arange(cod.size, dtype=np.int64)
         # search state: pairs[i][:, :counts[i]] holds the level-(i + 1)
         # pairs (t, s), in the column order of the rounds that added them;
         # level 1 is the assignment itself, in commit order.
@@ -208,8 +216,8 @@ class _TableSearch:
         self.pairs += [np.empty((2, 0), dtype=np.int64) for _ in range(2, n)]
         self.counts = [0] * (n - 1)
         self.trail: list[list[int]] = []  # counts before each install
-        self.domains: dict[int, list[int]] = {}
         self._plans: dict[tuple, _Round] = {}
+        self._prefilters: dict[bytes, tuple[_Columns, np.ndarray]] = {}
         # run record
         self.nodes = 0
         self.exhausted = False
@@ -254,9 +262,7 @@ class _TableSearch:
         base = ts[0]
         cols = _semi_naive(base, old[0], ts[top], old[top])
         z = _gather(self.np_mul, cols.ex, cols.t)
-        pos = np.full(self.size, -1, dtype=np.int64)
-        pos[base] = np.arange(base.size)
-        assigned = pos[z]
+        assigned = self._base_column(base, z)
         free = np.flatnonzero(assigned == -1)
         forced, first = np.unique(z[free], return_index=True)
         if forced.size == self.size - base.size:  # complete: cut the gather
@@ -270,6 +276,12 @@ class _TableSearch:
             cols[checked], assigned[checked].astype(np.int32),
             cols[order], np.searchsorted(forced, z[order]).astype(np.int32), forced,
         )
+
+    def _base_column(self, base: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """The base column each element of z is at, or -1 off the base."""
+        pos = np.full(self.size, -1, dtype=np.int64)
+        pos[base] = np.arange(base.size)
+        return pos[z]
 
     # -- closing all candidates of one element ---------------------------------
 
@@ -407,38 +419,22 @@ class _TableSearch:
         this drops solutions: -id is 3-multiplicative but not
         multiplicative.
         """
-        vs = self._arange
-        mask = ~self.used if self.bijective else np.ones(self.cod.size, dtype=bool)
-        restricted = self.domains.get(x)
-        if restricted is not None:
-            allowed = np.zeros(self.cod.size, dtype=bool)
-            allowed[restricted] = True
-            mask &= allowed
-        z, t = self._step(x, vs, x, vs)
-        if z == x:
-            mask &= t == vs
-        elif self.img[z] != -1:
-            mask &= t == self.img[z]
+        vs = np.flatnonzero(~self.used) if self.bijective else np.arange(self.cod.size)
         m = self.counts[0]
-        if m:
-            ys, ws = self.pairs[0][:, :m]
-            zs_xy = self.np_mul[x, ys]
-            have_xy = np.where(zs_xy == x, -2, self.img[zs_xy])
-            rel = have_xy != -1
-            if rel.any():
-                _, t_xy = self._step(x, vs[:, None], ys[rel], ws[rel])  # (N, R)
-                want = have_xy[rel][None, :]
-                want = np.where(want == -2, vs[:, None], want)
-                mask &= (t_xy == want).all(axis=1)
-            zs_yx = self.np_mul[ys, x]
-            have_yx = np.where(zs_yx == x, -2, self.img[zs_yx])
-            rel = have_yx != -1
-            if rel.any():
-                _, t_yx = self._step(ys[rel][:, None], ws[rel][:, None], x, vs)  # (R, N)
-                want = have_yx[rel][:, None]
-                want = np.where(want == -2, vs[None, :], want)
-                mask &= (t_yx == want).all(axis=0)
-        return np.flatnonzero(mask).tolist()
+        base = np.append(self.pairs[0][0, :m], x)
+        key = base.tobytes()
+        check = self._prefilters.get(key)
+        if check is None:
+            cols = _semi_naive(base, m, base, m)
+            target = self._base_column(base, _gather(self.np_mul, cols.ex, cols.t))
+            checked = np.flatnonzero(target != -1)
+            check = self._prefilters[key] = (cols[checked], target[checked])
+        cols, target = check
+        vals = np.empty((vs.size, m + 1), dtype=np.int64)
+        vals[:, :m] = self.pairs[0][1, :m]
+        vals[:, m] = vs
+        ok = (self._targets(cols, [vals], 0) == vals.take(target, axis=1)).all(axis=1)
+        return vs[ok].tolist()
 
     # -- DFS ----------------------------------------------------------------
 
@@ -533,31 +529,18 @@ def enumerate_n_derivations(
     a: Algebra,
     n: int,
     budget: SearchBudget | None = None,
-    idempotent: Element | None = None,
-    decomposition: PeirceDecomposition | None = None,
     tree_mode: str = "canonical",
 ) -> DerivationSearch:
     """Depth-first enumeration of tables satisfying the n-derivation identity.
 
     d(0) = 0 is pre-seeded (it is forced by the identity on the all-zero
-    tuple). When an idempotent is registered, the image of e is restricted
-    to the half eigenspace; that is where d(e) provably lands whenever the
-    field is (n-1)-torsion free, so register it only under that hypothesis.
+    tuple).
     """
     search = DerivationSearch(a, a, n, budget, tree_mode)
     (row,) = search._close_siblings(0, [0])
     if row is None:
         raise PreconditionViolated("seeding d(0) = 0 failed; inconsistent tables")
     search._install(row)
-    if idempotent is not None:
-        from .peirce import peirce_decompose
-
-        dec = decomposition if decomposition is not None else peirce_decompose(a, idempotent)
-        if dec.idempotent != idempotent:
-            raise PreconditionViolated("decomposition does not match the idempotent")
-        e_idx = search.dom.index_of(idempotent)
-        half = search.dom.span_indices(dec.basis_half)
-        search.domains[e_idx] = [int(v) for v in half]
     return search
 
 

@@ -3,12 +3,13 @@
 Everything here recomputes results from first principles (structure
 table, raw coordinate arithmetic, full enumeration) without going
 through the code paths under test. The reference searches at the end
-share the DFS and the candidate prefilter with the engine and replace
-only its closure.
+share the DFS with the engine and replace its candidate prefilter and
+its closure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -223,26 +224,40 @@ def bijections_bruteforce(mul_table: np.ndarray, chunk: int = 20000):
     return sorted(hits)
 
 
-def leibniz_kernel(algebra):
-    """Basis of the derivations D of a prime-field algebra, as d x d matrices.
+def leibniz_kernel(algebra, n=2):
+    """Basis of the linear n-derivations D of a prime-field algebra, as d x d matrices.
 
-    The unknowns are the entries D[r][c] (column c is D(b_c)); row (i, j, l)
-    of the system is coordinate l of D(b_i b_j) - D(b_i) b_j - b_i D(b_j).
+    The unknowns are the entries D[r][c] (column c is D(b_c)). For every
+    basis tuple idx and coordinate l there is one row: coordinate l of
+    D(m(b_idx)) - sum_s m(b_idx with D applied in slot s), where m is the
+    canonical monomial x1(x2(...(x_{n-1} x_n))). The identity is linear in
+    D, and for n = 2 it is the Leibniz rule.
     """
     from jordankit.linalg import kernel_basis
 
     f = algebra.field
     d = algebra.dim
     c = algebra.table
+
+    def monomial(idx):
+        w = [f.one() if k == idx[-1] else f.zero() for k in range(d)]
+        for i in reversed(idx[:-1]):  # w <- b_i w
+            w = [functools.reduce(f.add, (f.mul(w[k], c[i][k][l]) for k in range(d)), f.zero())
+                 for l in range(d)]
+        return w
+
     rows = []
-    for i, j, l in itertools.product(range(d), repeat=3):
-        row = [f.zero()] * (d * d)
-        for k in range(d):
-            row[l * d + k] = f.add(row[l * d + k], c[i][j][k])
-        for r in range(d):
-            row[r * d + i] = f.sub(row[r * d + i], c[r][j][l])
-            row[r * d + j] = f.sub(row[r * d + j], c[i][r][l])
-        rows.append(row)
+    for idx in itertools.product(range(d), repeat=n):
+        lhs = monomial(idx)
+        terms = [(r * d + idx[s], monomial(idx[:s] + (r,) + idx[s + 1:]))
+                 for s in range(n) for r in range(d)]
+        for l in range(d):
+            row = [f.zero()] * (d * d)
+            for k in range(d):
+                row[l * d + k] = lhs[k]
+            for unknown, value in terms:
+                row[unknown] = f.sub(row[unknown], value[l])
+            rows.append(row)
     return [[v[r * d:(r + 1) * d] for r in range(d)] for v in kernel_basis(f, rows)]
 
 
@@ -283,19 +298,21 @@ def is_permutation_group(tables):
 class QueuePropagation:
     """Forcing one image at a time: the reference for the closure plans.
 
-    Mixed in ahead of a search class, this replaces the sibling hook
-    _close_siblings, with _install and _undo, by a per-element queue over
-    Python lists and sets, with products read from list-of-lists tables.
-    It shares no plan, no value rows and no closure code with the engine:
-    each candidate is assigned and closed on its own, in order, and
+    Mixed in ahead of a search class, this replaces the prefilter
+    _candidates and the sibling hook _close_siblings, with _install and
+    _undo, by code over Python lists, dicts and sets, with products read
+    from list-of-lists tables. It shares no plan, no value rows and no
+    closure code with the engine. _candidates tries each allowed value
+    on its own against the degree-2 step, the engine's rule for every n.
+    Each candidate is assigned and closed on its own, in order, and
     undone. Level-k pairs (t, s) are extended by each assigned x to level
     k + 1, and a level-n pair forces img[t] = s; every pair is extended as
     soon as it appears, and pairs are kept once per (t, s). A surviving
     candidate's row is the list of state changes its closure made, which
-    _install replays. The engine state that _candidates and the DFS read
-    (img, used and the assigned prefix pairs[0][:, :counts[0]]) is kept
-    in step. closed counts the candidates the hook closed, so a test can
-    tell that the oracle, not the engine, ran.
+    _install replays. The engine state that the DFS reads (img, used and
+    the assigned prefix pairs[0][:, :counts[0]]) is kept in step. closed
+    counts the candidates the hook closed, so a test can tell that the
+    oracle, not the engine, ran.
     """
 
     def __init__(self, *args):
@@ -309,8 +326,29 @@ class QueuePropagation:
         self.level_seen = {k: set() for k in range(2, self.n)}
         self.closed = 0
 
-    def _extend(self, x, pair):
+    def _product(self, x, v, t, s):
+        """(x * t, the image x * t must take) when x maps to v and t to s."""
         raise NotImplementedError
+
+    def _extend(self, x, pair):
+        return self._product(x, self.ref_img[x], *pair)
+
+    def _candidates(self, x):
+        """The values v of x under which the degree-2 step gives each
+        product x y, y x and x x (y assigned) that lands on x or an
+        assigned element that element's image."""
+        img = {y: self.ref_img[y] for y in self.assigned}
+        taken = set(img.values()) if self.bijective else set()
+        out = []
+        for v in range(self.cod.size):
+            if v in taken:
+                continue
+            img[x] = v
+            pairs = [(x, y) for y in img] + [(y, x) for y in self.assigned]
+            products = (self._product(a, img[a], b, img[b]) for a, b in pairs)
+            if all(img.get(z, s) == s for z, s in products):
+                out.append(v)
+        return out
 
     def _force(self, t, s, queue):
         cur = self.ref_img[t]
@@ -406,29 +444,26 @@ class QueuePropagation:
 
 
 class ReferenceBijectionSearch(QueuePropagation, MultiplicativeBijectionSearch):
-    def _extend(self, x, pair):
+    def _product(self, x, v, t, s):
         # phi(x * t) = phi(x) * phi(t)
-        t, s = pair
-        return self.mul_rows[x][t], self.cod_mul_rows[self.ref_img[x]][s]
+        return self.mul_rows[x][t], self.cod_mul_rows[v][s]
 
 
 class ReferenceDerivationSearch(QueuePropagation, DerivationSearch):
-    def _extend(self, x, pair):
+    def _product(self, x, v, t, s):
         # d(x * t) = d(x) * t + x * d(t)
-        t, s = pair
         mul = self.mul_rows
-        return mul[x][t], self.cod_add_rows[mul[self.ref_img[x]][t]][mul[x][s]]
+        return mul[x][t], self.cod_add_rows[mul[v][t]][mul[x][s]]
 
 
 def reference_search(search):
     """A fresh queue-propagation twin of a fresh engine search.
 
-    Same algebras, degree, budget, tree mode and restricted domains; a
-    derivation twin seeds d(0) = 0 as enumerate_n_derivations does.
+    Same algebras, degree, budget and tree mode; a derivation twin seeds
+    d(0) = 0 as enumerate_n_derivations does.
     """
     cls = ReferenceBijectionSearch if search.bijective else ReferenceDerivationSearch
     ref = cls(search.domain, search.codomain, search.n, search.budget, search.tree_mode)
     if not search.bijective and not ref._assign(0, 0):
         raise AssertionError("seeding d(0) = 0 failed in the reference")
-    ref.domains = dict(search.domains)
     return ref

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -175,16 +176,30 @@ def test_audit_derivations(files, capsys):
 
 @pytest.mark.parametrize("mode,witnesses", [("maps", 48), ("derivations", 27)])
 def test_audit_higher_degrees(files, capsys, mode, witnesses):
-    # n = 4 finds the n = 2 witnesses; at n = 5 re-verifying a table
-    # needs 81^5 evaluations, beyond the default budget
-    report = run(["audit", files["k_f3"], "--n", "4", "--mode", mode])
-    out = output_of(capsys)
-    assert report.exit_code == 0
-    assert f"witnesses: {witnesses}" in out
-    assert "exhausted: true" in out and "result: PASS" in out
-    report = run(["audit", files["k_f3"], "--n", "5", "--mode", mode])
+    # n = 4 and 5 find the n = 2 witnesses; each is additive, so it is
+    # re-verified on generators and basis tuples, not on 81^n tuples
+    for n in ("4", "5"):
+        report = run(["audit", files["k_f3"], "--n", n, "--mode", mode])
+        out = output_of(capsys)
+        assert report.exit_code == 0
+        assert f"witnesses: {witnesses}" in out
+        assert "exhausted: true" in out and "result: PASS" in out
+
+
+@pytest.mark.parametrize("command", ["check-map", "check-derivation"])
+def test_full_scan_beyond_budget_exits_2(files, tmp_path, capsys, command):
+    # a table that is not additive is checked on every carrier tuple,
+    # and at n = 5 that is 81^5 evaluations
+    coords = [",".join(map(str, c)) for c in itertools.product(range(3), repeat=4)]
+    images = coords.copy()
+    images[1], images[2] = images[2], images[1]
+    map_path = tmp_path / "swap.map"
+    entries = [{"in": x, "out": y} for x, y in zip(coords, images)]
+    map_path.write_text(json.dumps({"entries": entries}))
+    algebras = [files["k_f3"]] * (2 if command == "check-map" else 1)
+    report = run([command, *algebras, str(map_path), "--n", "5"])
     assert report.exit_code == 2
-    assert "3486784401 evaluations exceed budget" in capsys.readouterr().err
+    assert "3486784401 evaluations exceed budget 100000000" in capsys.readouterr().err
 
 
 def test_audit_budget_flags(files, capsys):

@@ -213,23 +213,28 @@ def stream_algebra(request, name):
     return request.getfixturevalue(name)
 
 
-@pytest.mark.parametrize("name,kernel_dim", [
-    pytest.param("kf3", 3, id="3"),
-    pytest.param("kf5", 3, id="5"),
-    ("spin3_f3", 1),
-    ("spin3_f5", 1),
-    ("spin3_f7", 1),
-    ("m2f3", 3),
+@pytest.mark.parametrize("name,n,kernel_dim", [
+    pytest.param("kf3", 2, 3, id="3"),
+    pytest.param("kf5", 2, 3, id="5"),
+    pytest.param("spin3_f3", 2, 1, id="spin3_f3-1"),
+    pytest.param("spin3_f5", 2, 1, id="spin3_f5-1"),
+    pytest.param("spin3_f7", 2, 1, id="spin3_f7-1"),
+    pytest.param("m2f3", 2, 3, id="m2f3-3"),
+    pytest.param("kf3", 3, 3, id="n3-kf3-3"),
+    pytest.param("spin3_f3", 3, 1, id="n3-spin3_f3-1"),
+    pytest.param("spin3_f5", 3, 1, id="n3-spin3_f5-1"),
+    pytest.param("spin3_f7", 3, 1, id="n3-spin3_f7-1"),
+    pytest.param("m2f3", 3, 3, id="n3-m2f3-3"),
 ])
-def test_derivation_stream_equals_leibniz_kernel_span(request, name, kernel_dim):
-    """The n = 2 stream is the F_p span of the Leibniz system's kernel."""
+def test_derivation_stream_equals_leibniz_kernel_span(request, name, n, kernel_dim):
+    """The n-derivation stream is the F_p span of the n-ary Leibniz system's kernel."""
     k = stream_algebra(request, name)
-    kernel = oracles.leibniz_kernel(k)
+    kernel = oracles.leibniz_kernel(k, n)
     assert len(kernel) == kernel_dim
     span = {tuple(DerivationTable(k, matrix=m).index_table().tolist())
             for m in oracles.span_matrices(k.field, kernel)}
     assert len(span) == k.field.characteristic**kernel_dim
-    search = enumerate_n_derivations(k, 2)
+    search = enumerate_n_derivations(k, n)
     assert set(table_set(search)) == span and search.exhausted
 
 
@@ -275,16 +280,6 @@ def test_derivation_stream_deterministic(kf3):
     first = table_set(enumerate_n_derivations(kf3, 2))
     second = table_set(enumerate_n_derivations(kf3, 2))
     assert first == second
-
-
-def test_derivation_seeded_idempotent_same_results(kf3):
-    e = kf3.basis_element(0)
-    plain = enumerate_n_derivations(kf3, 2)
-    plain_tables = set(table_set(plain))
-    seeded = enumerate_n_derivations(kf3, 2, idempotent=e)
-    seeded_tables = set(table_set(seeded))
-    assert seeded_tables == plain_tables
-    assert seeded.nodes <= plain.nodes
 
 
 def test_derivation_search_n3_micro(f3):
