@@ -34,17 +34,19 @@ outright and takes the same basis tuples, on Elements, through the
 first-failure scan that also decides the ring identities.
 
 The full scan of every carrier n-tuple runs only when one of those
-checks fails, and then it alone gives the verdict and the witness. It
-walks whole rows of the first slot at a time, so the first failing entry
-of a chunk in C order is the first witness in lexicographic order. Its
-N^n evaluations per tree are charged against EVAL_BUDGET when it starts,
-so a table decided on generators and basis tuples is never refused for
-the size of a scan it does not run.
+checks fails, and then it alone gives the verdict and the witness. Both
+grid routes walk their tuples in steps of at most _CHUNK entries, in
+lexicographic order, so the first failing entry of a step in C order is
+the first witness. Each route charges its own tuple count against
+EVAL_BUDGET before it starts: the basis tuples for an additive table,
+N^n per tree for the full scan. A table decided on generators and basis
+tuples is never refused for the size of a scan it does not run.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -348,24 +350,42 @@ def _check_budget(total: int) -> None:
         raise BudgetExceeded(f"{total} evaluations exceed budget {EVAL_BUDGET}")
 
 
+def _first_hit(tree, slots: list[np.ndarray], mismatch):
+    """Positions in slots of the first n-tuple, lexicographically, at which
+    mismatch(tree, grids) is true, or None.
+
+    Leading slots are fixed one value at a time until the slots after
+    them hold at most _CHUNK tuples, and then whole rows of the next slot
+    go at once, so no step holds more than _CHUNK entries (or one row) and
+    the C-order argmax of a step is the first witness in it.
+    """
+    lead = 0
+    while lead < len(slots) - 1 and math.prod(map(len, slots[lead + 1 :])) > _CHUNK:
+        lead += 1
+    rest, col = slots[lead + 1 :], slots[lead]
+    rows = max(1, _CHUNK // math.prod(map(len, rest)))
+    for prefix in itertools.product(*(range(len(s)) for s in slots[:lead])):
+        fixed = [s[i : i + 1] for s, i in zip(slots, prefix)]
+        for start in range(0, len(col), rows):
+            bad = mismatch(tree, _slot_grids(fixed + [col[start : start + rows]] + rest))
+            if bad.any():
+                hit = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                return (*prefix, start + int(hit[lead]), *(int(i) for i in hit[lead + 1 :]))
+    return None
+
+
 def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
     """The first (tree, args) at which mismatch(tree, grids) is true.
 
     Trees go in the given order and n-tuples of carrier elements in
-    lexicographic order, in chunks of whole rows of the first slot, so the
-    C-order argmax of a chunk is the first witness in it.
+    lexicographic order (_first_hit).
     """
-    size = dom.size
-    _check_budget(size**n * len(trees))
-    values = np.arange(size, dtype=np.int64)
-    rows = max(1, _CHUNK // size ** (n - 1))
+    _check_budget(dom.size**n * len(trees))
+    values = [np.arange(dom.size, dtype=np.int64)] * n
     for tree in trees:
-        for start in range(0, size, rows):
-            bad = mismatch(tree, _slot_grids([values[start : start + rows]] + [values] * (n - 1)))
-            if bad.any():
-                first = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                idxs = (start + int(first[0]), *(int(i) for i in first[1:]))
-                return Verdict(False, (tree, tuple(dom.element_at(i) for i in idxs)))
+        hit = _first_hit(tree, values, mismatch)
+        if hit is not None:
+            return Verdict(False, (tree, tuple(dom.element_at(i) for i in hit)))
     return Verdict(True)
 
 
@@ -423,11 +443,12 @@ def _check(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     mismatch = kind(t.index_table().take, _table_op(dom.mul), _table_op(second))
     if _additive_on_generators(t):
         basis = [dom.basis_index(i) for i in range(dom.dim)]
-        for tree in trees:
-            slots = _slot_candidates(tree, n, basis, _table_op(dom.add))
-            if mismatch(tree, _slot_grids([np.array(c, dtype=np.int64) for c in slots])).any():
-                break
-        else:
+        ranges = [
+            [np.array(c, dtype=np.int64) for c in _slot_candidates(tree, n, basis, _table_op(dom.add))]
+            for tree in trees
+        ]
+        _check_budget(sum(math.prod(map(len, r)) for r in ranges))
+        if all(_first_hit(tree, r, mismatch) is None for tree, r in zip(trees, ranges)):
             return Verdict(True)
     return _grid_scan(dom, n, trees, mismatch)
 

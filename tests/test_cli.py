@@ -202,6 +202,21 @@ def test_full_scan_beyond_budget_exits_2(files, tmp_path, capsys, command):
     assert "3486784401 evaluations exceed budget 100000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check-map", "check-derivation"])
+def test_basis_tuples_beyond_budget_exit_2(files, tmp_path, capsys, command):
+    # the identity and the zero map are additive, so they skip the full
+    # scan, but at n = 16 their basis tuples are 4^16 evaluations
+    coords = [",".join(map(str, c)) for c in itertools.product(range(3), repeat=4)]
+    images = coords if command == "check-map" else ["0,0,0,0"] * len(coords)
+    map_path = tmp_path / "additive.map"
+    entries = [{"in": x, "out": y} for x, y in zip(coords, images)]
+    map_path.write_text(json.dumps({"entries": entries}))
+    algebras = [files["k_f3"]] * (2 if command == "check-map" else 1)
+    report = run([command, *algebras, str(map_path), "--n", "16"])
+    assert report.exit_code == 2
+    assert "4294967296 evaluations exceed budget 100000000" in capsys.readouterr().err
+
+
 def test_audit_budget_flags(files, capsys):
     report = run(
         ["audit", files["k_f3"], "--n", "2", "--mode", "maps", "--budget-witnesses", "3"]

@@ -170,6 +170,15 @@ def test_n_multiplicative_budget(kf3):
         is_n_multiplicative(MapTable(kf3, kf3, table=swapped_table(kf3)), 5)
 
 
+def test_basis_tuples_are_charged(kf3):
+    # an additive table skips the full scan, but its 4^16 basis tuples at
+    # n = 16 still exceed 10^8 evaluations
+    with pytest.raises(BudgetExceeded, match="4294967296 evaluations"):
+        is_n_multiplicative(MapTable.identity(kf3), 16)
+    with pytest.raises(BudgetExceeded, match="4294967296 evaluations"):
+        is_n_derivation(DerivationTable.zero(kf3), 16)
+
+
 def test_multiplicative_composition_closure(kf3):
     # phi 2-multiplicative implies phi o phi is 2-multiplicative
     t = transpose_map(kf3).index_table()
@@ -497,6 +506,22 @@ def test_grid_scan_in_row_chunks(monkeypatch, f3xf3, kind, rows):
     assert not verdict.ok
     assert carrier_of(f3xf3).index_of(verdict.witness[1][0]) == 1
     assert verdict.witness == failure == unchunked.witness
+
+
+@pytest.mark.parametrize("chunk", [9, 2, 1])
+@pytest.mark.parametrize("kind", ["multiplicative", "derivation"])
+def test_grid_scan_fixing_leading_slots(monkeypatch, f3xf3, kind, chunk):
+    # a chunk below the 9^2 tuples after the first slot fixes leading
+    # slots one value at a time; the full scan and the basis tuples of
+    # an additive table give the verdicts and witnesses of one step
+    wrong = np.zeros(9, dtype=np.int64) if kind == "derivation" else np.arange(9)
+    wrong[8] = 4
+    tables = [wrong, linear_table(f3xf3, [1, 1, 0, 1]), linear_table(f3xf3, [1, 0, 0, 1])]
+    expected = [n_ary_check(f3xf3, t, 3, "all_trees", kind) for t in tables]
+    monkeypatch.setattr(maps_module, "_CHUNK", chunk)
+    for table, (verdict, failure) in zip(tables, expected):
+        assert n_ary_check(f3xf3, table, 3, "all_trees", kind)[0] == verdict
+        assert (verdict.ok, verdict.witness) == (failure is None, failure)
 
 
 def linear_table(algebra, coeffs):
