@@ -602,12 +602,13 @@ def read_json(path):
     """The JSON document in a file; a file that is not UTF-8 JSON is a FormatError.
 
     A malformed document, bytes that are not UTF-8, and an integer past
-    the interpreter's digit limit all raise ValueError.
+    the interpreter's digit limit all raise ValueError; nesting deeper
+    than the decoder's recursion limit raises RecursionError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"not valid JSON: {path} ({exc})") from exc
 
 

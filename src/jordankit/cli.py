@@ -8,6 +8,7 @@ or usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
@@ -19,17 +20,6 @@ from .algebra import (
     save_algebra,
 )
 from .errors import JordankitError
-from .maps import (
-    derivation_peirce_check,
-    DerivationTable,
-    inner_derivation,
-    is_additive,
-    is_bijective,
-    is_n_derivation,
-    is_n_multiplicative,
-    load_map_table,
-    reduce_derivation,
-)
 from .peirce import (
     check_theorem_conditions,
     find_idempotents,
@@ -39,12 +29,31 @@ from .peirce import (
     verify_peirce_relations,
 )
 from .scalars import prime_field, rational_field
-from .search import (
-    SearchBudget,
-    additivity_audit,
-    enumerate_multiplicative_bijections,
-    enumerate_n_derivations,
+
+# names from maps and search, which import numpy: they are bound on the first
+# carrier command (or outside read), so check, example, idempotents and peirce
+# start without numpy
+_NUMPY_FREE = {"check", "example", "idempotents", "peirce"}
+_CARRIER_NAMES = (
+    "DerivationTable", "derivation_peirce_check", "inner_derivation", "is_additive",
+    "is_bijective", "is_n_derivation", "is_n_multiplicative", "load_map_table",
+    "reduce_derivation", "SearchBudget", "additivity_audit",
+    "enumerate_multiplicative_bijections", "enumerate_n_derivations",
 )
+
+
+def _bind_carrier_names():
+    """Bind ``_CARRIER_NAMES`` from the package, keeping any already set (a patch)."""
+    package = importlib.import_module(__package__)
+    for name in _CARRIER_NAMES:
+        globals().setdefault(name, getattr(package, name))
+
+
+def __getattr__(name):
+    if name in _CARRIER_NAMES:
+        _bind_carrier_names()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -386,6 +395,8 @@ def run(argv) -> RunReport:
     """Execute one CLI invocation, print its report, and return it."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command not in _NUMPY_FREE:
+        _bind_carrier_names()
     try:
         report = args.fn(args)
     except (JordankitError, OSError) as exc:

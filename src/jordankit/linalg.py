@@ -139,6 +139,3 @@ def solve_unique(f: Field, a: list[list], b: list) -> list | None:
         x[pc] = red[r][cols]
     return x
 
-
-def transpose(m: list[list]) -> list[list]:
-    return [list(col) for col in zip(*m)] if m else []

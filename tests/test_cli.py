@@ -1,9 +1,14 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from jordankit import load_algebra
+import jordankit
+from jordankit import cli, load_algebra
 from jordankit.cli import run
 
 
@@ -360,3 +365,104 @@ def test_map_file_not_an_object_exits_2(files, tmp_path, capsys, data):
     report = run(["check-derivation", files["k_f3"], str(map_path), "--n", "2"])
     assert report.exit_code == 2
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+def fresh_python(script, *args):
+    """The JSON that script prints last, run in a new interpreter on this jordankit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(jordankit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+AUDIT_MODES = ("maps", "derivations")
+
+# the prelude of each script below: cli.run(argv) -> (exit code, stdout)
+RUN_CLI = """
+import contextlib, io, json, sys
+from jordankit import cli
+
+def run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(list(argv)).exit_code
+    return code, buf.getvalue()
+"""
+
+STARTUP = RUN_CLI + """
+alg = sys.argv[1]
+numpy_free = {}
+for argv in (["example", "jordanified-m2", "--field", "p=3", "--out", alg],
+             ["check", alg], ["idempotents", alg], ["idempotents", alg, "--exhaustive"],
+             ["peirce", alg, "--idempotent", "1,0,0,0"]):
+    code, _ = run(*argv)
+    numpy_free[" ".join(argv[:1] + argv[2:])] = (code, "numpy" not in sys.modules)
+audit = run("audit", alg, "--n", "2", "--mode", "maps")
+numpy_after_audit = "numpy" in sys.modules
+
+import jordankit
+from jordankit import carrier_of, MapTable, enumerate_n_derivations
+try:
+    jordankit.no_such_name
+    unknown = "no AttributeError"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"numpy_free": numpy_free, "audit": audit,
+                  "numpy_after_audit": numpy_after_audit, "unknown": unknown,
+                  "unresolved": [n for n in jordankit._LAZY if not hasattr(jordankit, n)]}))
+"""
+
+
+def test_commands_without_a_carrier_start_without_numpy(files, tmp_path, capsys):
+    got = fresh_python(STARTUP, str(tmp_path / "k3.alg"))
+    for argv, (code, numpy_free) in got["numpy_free"].items():
+        assert code == 0 and numpy_free, argv
+    assert got["numpy_after_audit"]
+    assert run(["audit", files["k_f3"], "--n", "2", "--mode", "maps"]).exit_code == 0
+    assert got["audit"] == [0, output_of(capsys)]
+    assert got["unknown"] == "module 'jordankit' has no attribute 'no_such_name'"
+    assert got["unresolved"] == []
+
+
+PATCHED = ("enumerate_multiplicative_bijections", "enumerate_n_derivations")
+
+PATCH_BEFORE_ANY_RUN = RUN_CLI + """
+calls = dict.fromkeys(sys.argv[2:], 0)
+
+def counting(name, original):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+    return wrapper
+
+for name in calls:
+    setattr(cli, name, counting(name, getattr(cli, name)))
+audits = {mode: run("audit", sys.argv[1], "--n", "2", "--mode", mode)
+          for mode in ("maps", "derivations")}
+print(json.dumps({"calls": calls, "audits": audits}))
+"""
+
+
+def test_patched_cli_search_is_the_one_that_runs(files, capsys, monkeypatch):
+    """A patch of cli's search names, as the traced benchmark makes, is not rebound away."""
+    argv = {mode: ["audit", files["k_f3"], "--n", "2", "--mode", mode] for mode in AUDIT_MODES}
+    expected = {}
+    for mode in AUDIT_MODES:
+        expected[mode] = [run(argv[mode]).exit_code, output_of(capsys)]
+
+    fresh = fresh_python(PATCH_BEFORE_ANY_RUN, files["k_f3"], *PATCHED)
+    assert fresh == {"calls": dict.fromkeys(PATCHED, 1), "audits": expected}
+
+    calls = dict.fromkeys(PATCHED, 0)
+    for name in PATCHED:
+        original = getattr(cli, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+    for mode in AUDIT_MODES:
+        assert [run(argv[mode]).exit_code, output_of(capsys)] == expected[mode]
+    assert calls == dict.fromkeys(PATCHED, 1)

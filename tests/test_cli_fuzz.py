@@ -135,11 +135,17 @@ def test_mutated_map_file_keeps_exit_contract(inputs, monkeypatch, capsys, data,
         assert exit_code(monkeypatch, capsys, argv) in (0, 1, 2), (path, how, argv)
 
 
-# bytes that are not UTF-8, and an integer past the interpreter's digit limit
-UNDECODABLE = [b"\xff\xfe\x00bad", b'{"dim": ' + b"1" * 5000 + b"}"]
+# bytes that are not UTF-8, an integer past the interpreter's digit limit,
+# and nesting past the decoder's recursion limit
+UNDECODABLE = [
+    b"\xff\xfe\x00bad",
+    b'{"dim": ' + b"1" * 5000 + b"}",
+    b"[" * 100_000 + b"]" * 100_000,
+]
+UNDECODABLE_IDS = ["not-utf8", "long-int", "deep-nesting"]
 
 
-@pytest.mark.parametrize("content", UNDECODABLE, ids=["not-utf8", "long-int"])
+@pytest.mark.parametrize("content", UNDECODABLE, ids=UNDECODABLE_IDS)
 def test_undecodable_algebra_file_exits_2(inputs, monkeypatch, capsys, content):
     root, _, maps = inputs
     bad = root / "undecodable.alg"
@@ -153,7 +159,7 @@ def test_undecodable_algebra_file_exits_2(inputs, monkeypatch, capsys, content):
         assert_bad_input(monkeypatch, capsys, argv)
 
 
-@pytest.mark.parametrize("content", UNDECODABLE, ids=["not-utf8", "long-int"])
+@pytest.mark.parametrize("content", UNDECODABLE, ids=UNDECODABLE_IDS)
 def test_undecodable_map_file_exits_2(inputs, monkeypatch, capsys, content):
     root = inputs[0]
     bad = root / "undecodable.map"
