@@ -342,13 +342,7 @@ def monomial_eval(a: Algebra, tree: MonomialTree, args) -> Element:
     for x in args:
         if x.algebra is not a:
             raise AlgebraMismatch("argument belongs to a different algebra")
-
-    def go(t: MonomialTree) -> Element:
-        if isinstance(t, Leaf):
-            return args[t.slot - 1]
-        return multiply(a, go(t.left), go(t.right))
-
-    return go(tree)
+    return _evaluate(tree, args, functools.partial(multiply, a))
 
 
 def xi_eval(a: Algebra, z: Element, i: int, args) -> Element:
@@ -356,11 +350,7 @@ def xi_eval(a: Algebra, z: Element, i: int, args) -> Element:
     args = list(args)
     if i < 1 or i + len(args) < 2:
         raise ArityMismatch(f"need i >= 1 and total degree >= 2, got i={i}, args={len(args)}")
-    seq = [z] * i + args
-    acc = seq[-1]
-    for s in reversed(seq[:-1]):
-        acc = multiply(a, s, acc)
-    return acc
+    return _evaluate(canonical_tree(i + len(args)), [z] * i + args, functools.partial(multiply, a))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Finite carriers of algebras over prime fields.
 
 Enumerates all p^dim elements in lexicographic coordinate order and
-builds integer index tables (sums, products, negation) so exhaustive
+builds integer index tables (sums, products) so exhaustive
 predicates can run as vectorized gathers instead of per-element loops.
 Index order equals lexicographic coordinate order, which fixes the
 deterministic scan order used for witnesses everywhere.
@@ -35,7 +35,6 @@ class FiniteCarrier:
         self.coords = np.ascontiguousarray(grid, dtype=np.int64)
         self._mul = None
         self._add = None
-        self._neg = None
 
     # -- element <-> index ------------------------------------------------
 
@@ -87,12 +86,6 @@ class FiniteCarrier:
             sums = (self.coords[:, None, :] + self.coords[None, :, :]) % self.p
             self._add = (sums @ self.powers).astype(np.int64)
         return self._add
-
-    @property
-    def neg(self) -> np.ndarray:
-        if self._neg is None:
-            self._neg = self.encode(-self.coords)
-        return self._neg
 
     # -- derived views -----------------------------------------------------
 

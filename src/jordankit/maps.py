@@ -88,6 +88,9 @@ from .peirce import PeirceDecomposition, peirce_decompose, peirce_project
 from .scalars import is_torsion_free
 
 EVAL_BUDGET = 10**8  # the most evaluations one predicate check may run
+# the highest monomial degree n: an index grid lays each slot of an n-tuple
+# on its own numpy axis, and numpy 1.x allows 32
+MAX_DEGREE = 32
 _CHUNK = 1 << 20
 # the trees of additivity (x1 + x2, over the sum tables) and of the
 # Jordan semitriple forms
@@ -168,11 +171,6 @@ class FunctionTable:
     @classmethod
     def from_matrix(cls, domain: Algebra, codomain: Algebra, matrix):
         return cls._construct(domain, codomain, matrix=matrix)
-
-    @classmethod
-    def from_entries(cls, domain: Algebra, codomain: Algebra, pairs):
-        table = _table_from_pairs(carrier_of(domain), carrier_of(codomain), pairs)
-        return cls._construct(domain, codomain, table=table)
 
     @classmethod
     def identity(cls, a: Algebra):
@@ -407,20 +405,31 @@ def _additive_on_generators(t: FunctionTable) -> bool:
     return not mismatch(_SUM, _slot_grids(slots)).any()
 
 
+def _basis_tuples(trees, n: int, basis: list, add) -> list:
+    """The _slot_candidates of trees, charged against EVAL_BUDGET before any scan.
+
+    The trees of one predicate use each slot equally often, so they share
+    the first tree's candidates, and len(trees) counts all_trees without
+    building them.
+    """
+    ranges = _slot_candidates(next(iter(trees)), n, basis, add)
+    _check_budget(len(trees) * math.prod(map(len, ranges)))
+    return ranges
+
+
 def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     """The first (tree, args) of basis tuples at which a linear map fails.
 
     Trees go outermost, then the basis tuples of _slot_candidates.
     """
     a = t.domain
-    ranges = [_slot_candidates(tree, n, a.basis_elements(), operator.add) for tree in trees]
-    _check_budget(sum(math.prod(map(len, r)) for r in ranges))
+    ranges = _basis_tuples(trees, n, a.basis_elements(), operator.add)
     mul = functools.partial(multiply, a)
     if derivation:
         mismatch = _derivation(t.apply, mul, operator.add)
     else:
         mismatch = _homomorphism(t.apply, mul, functools.partial(multiply, t.codomain))
-    hit = _first_failure(zip(trees, ranges), mismatch)
+    hit = _first_failure(((tree, ranges) for tree in trees), mismatch)
     return Verdict(True) if hit is None else Verdict(False, hit)
 
 
@@ -443,12 +452,9 @@ def _check(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     mismatch = kind(t.index_table().take, _table_op(dom.mul), _table_op(second))
     if _additive_on_generators(t):
         basis = [dom.basis_index(i) for i in range(dom.dim)]
-        ranges = [
-            [np.array(c, dtype=np.int64) for c in _slot_candidates(tree, n, basis, _table_op(dom.add))]
-            for tree in trees
-        ]
-        _check_budget(sum(math.prod(map(len, r)) for r in ranges))
-        if all(_first_hit(tree, r, mismatch) is None for tree, r in zip(trees, ranges)):
+        ranges = [np.array(c, dtype=np.int64)
+                  for c in _basis_tuples(trees, n, basis, _table_op(dom.add))]
+        if all(_first_hit(tree, ranges, mismatch) is None for tree in trees):
             return Verdict(True)
     return _grid_scan(dom, n, trees, mismatch)
 
@@ -465,13 +471,28 @@ def _semitriple(t: FunctionTable, derivation: bool) -> Verdict:
     return _pair_witness(_check(t, 2, [_SEMITRIPLE], derivation))
 
 
+@dataclass(frozen=True)
+class _AllTrees:
+    """all_trees(n), with its length Catalan(n - 1) known before any tree is built."""
+
+    n: int
+
+    def __len__(self) -> int:
+        return math.comb(2 * self.n - 2, self.n - 1) // self.n
+
+    def __iter__(self):
+        return all_trees(self.n)
+
+
 def _trees_for(n: int, tree_mode: str):
     if n < 2:
         raise ArityMismatch(f"multiplicativity degree must be >= 2, got {n}")
+    if n > MAX_DEGREE:
+        raise ArityMismatch(f"monomial degree must be <= {MAX_DEGREE}, got {n}")
     if tree_mode == "canonical":
         return [canonical_tree(n)]
     if tree_mode == "all_trees":
-        return list(all_trees(n))
+        return _AllTrees(n)
     raise ValueError(f"unknown tree_mode {tree_mode!r}")
 
 

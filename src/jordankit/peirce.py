@@ -65,11 +65,11 @@ class IdempotentHit:
     classification: str
 
 
-def find_idempotents(a: Algebra, mode: str = "heuristic", extra=()):
+def find_idempotents(a: Algebra, mode: str = "heuristic"):
     """Nonzero solutions of e*e = e, lexicographically sorted by coordinates.
 
     Exhaustive mode scans the whole finite carrier; heuristic mode tests
-    every 0/1 coordinate vector plus caller-supplied candidates.
+    every 0/1 coordinate vector.
     """
     f = a.field
     if mode == "exhaustive":
@@ -83,13 +83,11 @@ def find_idempotents(a: Algebra, mode: str = "heuristic", extra=()):
         if a.dim > HEURISTIC_DIM_CAP:
             raise EnumerationTooLarge(f"0/1 sweep over dim {a.dim} exceeds 2^{HEURISTIC_DIM_CAP}")
         bits = itertools.product((f.zero(), f.one()), repeat=a.dim)
-        candidates = itertools.chain((Element(a, b) for b in bits), extra)
+        candidates = (Element(a, b) for b in bits)
     else:
         raise ModeUnsupported(f"unknown idempotent search mode {mode!r}")
     found = {}
     for e in candidates:
-        if e.algebra is not a:
-            raise AlgebraMismatch("candidate belongs to a different algebra")
         if not e.is_zero() and multiply(a, e, e) == e:
             found[e.coords] = e
     hits = [IdempotentHit(e, idempotent_class(a, e)) for _, e in sorted(found.items())]

@@ -63,9 +63,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
@@ -116,11 +113,6 @@ class RationalField(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / a
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by 0")
-        return a / b
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -74,7 +74,14 @@ import numpy as np
 from .algebra import Algebra
 from .carrier import carrier_of
 from .errors import ArityMismatch, CarrierSizeMismatch, PreconditionViolated
-from .maps import DerivationTable, MapTable, is_additive, is_n_derivation, is_n_multiplicative
+from .maps import (
+    MAX_DEGREE,
+    DerivationTable,
+    MapTable,
+    is_additive,
+    is_n_derivation,
+    is_n_multiplicative,
+)
 from .peirce import PeirceDecomposition, check_theorem_conditions
 
 
@@ -186,14 +193,14 @@ class _TableSearch:
 
     bijective = False
 
-    def __init__(self, domain: Algebra, codomain: Algebra, n: int,
-                 budget: SearchBudget | None, tree_mode: str):
+    def __init__(self, domain: Algebra, codomain: Algebra, n: int, budget: SearchBudget | None):
         if n < 2:
             raise ArityMismatch(f"search needs monomial degree >= 2, got {n}")
+        if n > MAX_DEGREE:
+            raise ArityMismatch(f"search needs monomial degree <= {MAX_DEGREE}, got {n}")
         self.domain = domain
         self.codomain = codomain
         self.n = n
-        self.tree_mode = tree_mode
         self.budget = budget or SearchBudget()
         dom = carrier_of(domain)
         cod = carrier_of(codomain)
@@ -493,7 +500,7 @@ class MultiplicativeBijectionSearch(_TableSearch):
         return MapTable(self.domain, self.codomain, table=self.img.copy())
 
     def _verify(self, table) -> bool:
-        return bool(is_n_multiplicative(table, self.n, tree_mode=self.tree_mode))
+        return bool(is_n_multiplicative(table, self.n))
 
 
 class DerivationSearch(_TableSearch):
@@ -511,7 +518,7 @@ class DerivationSearch(_TableSearch):
         return DerivationTable(self.domain, table=self.img.copy())
 
     def _verify(self, table) -> bool:
-        return bool(is_n_derivation(table, self.n, tree_mode=self.tree_mode))
+        return bool(is_n_derivation(table, self.n))
 
 
 def enumerate_multiplicative_bijections(
@@ -519,24 +526,22 @@ def enumerate_multiplicative_bijections(
     codomain: Algebra,
     n: int,
     budget: SearchBudget | None = None,
-    tree_mode: str = "canonical",
 ) -> MultiplicativeBijectionSearch:
     """Depth-first enumeration of n-multiplicative bijections; iterate to run."""
-    return MultiplicativeBijectionSearch(domain, codomain, n, budget, tree_mode)
+    return MultiplicativeBijectionSearch(domain, codomain, n, budget)
 
 
 def enumerate_n_derivations(
     a: Algebra,
     n: int,
     budget: SearchBudget | None = None,
-    tree_mode: str = "canonical",
 ) -> DerivationSearch:
     """Depth-first enumeration of tables satisfying the n-derivation identity.
 
     d(0) = 0 is pre-seeded (it is forced by the identity on the all-zero
     tuple).
     """
-    search = DerivationSearch(a, a, n, budget, tree_mode)
+    search = DerivationSearch(a, a, n, budget)
     (row,) = search._close_siblings(0, [0])
     if row is None:
         raise PreconditionViolated("seeding d(0) = 0 failed; inconsistent tables")

@@ -459,11 +459,11 @@ class ReferenceDerivationSearch(QueuePropagation, DerivationSearch):
 def reference_search(search):
     """A fresh queue-propagation twin of a fresh engine search.
 
-    Same algebras, degree, budget and tree mode; a derivation twin seeds
-    d(0) = 0 as enumerate_n_derivations does.
+    Same algebras, degree and budget; a derivation twin seeds d(0) = 0 as
+    enumerate_n_derivations does.
     """
     cls = ReferenceBijectionSearch if search.bijective else ReferenceDerivationSearch
-    ref = cls(search.domain, search.codomain, search.n, search.budget, search.tree_mode)
+    ref = cls(search.domain, search.codomain, search.n, search.budget)
     if not search.bijective and not ref._assign(0, 0):
         raise AssertionError("seeding d(0) = 0 failed in the reference")
     return ref

@@ -222,6 +222,58 @@ def test_basis_tuples_beyond_budget_exit_2(files, tmp_path, capsys, command):
     assert "4294967296 evaluations exceed budget 100000000" in capsys.readouterr().err
 
 
+def test_all_trees_budget_is_charged_before_any_tree_is_built(files, tmp_path, capsys):
+    # Catalan(n - 1) trees of 4^n basis tuples each; listing the 742900
+    # trees at n = 14 already took longer than a minute
+    coords = [",".join(map(str, c)) for c in itertools.product(range(3), repeat=4)]
+    map_path = tmp_path / "identity.map"
+    map_path.write_text(json.dumps({"entries": [{"in": x, "out": x} for x in coords]}))
+    for n, charge in (("12", 986265419776), ("14", 199420700262400), ("32", None)):
+        report = run(["check-map", files["k_f3"], files["k_f3"], str(map_path), "--n", n,
+                      "--all-trees"])
+        assert report.exit_code == 2
+        err = capsys.readouterr().err
+        assert "evaluations exceed budget 100000000" in err
+        assert charge is None or f"{charge} evaluations" in err
+
+
+@pytest.mark.parametrize("n", ["33", "1000"])
+@pytest.mark.parametrize("command", ["check-map", "check-derivation", "reduce-derivation",
+                                     "audit"])
+def test_degree_beyond_max_exits_2(files, tmp_path, capsys, monkeypatch, command, n):
+    # a grid lays each slot on its own numpy axis, and a tree of degree
+    # 1000 recurses past the interpreter's limit
+    coords = [",".join(map(str, c)) for c in itertools.product(range(3), repeat=4)]
+    map_path = tmp_path / "zero.map"
+    map_path.write_text(json.dumps({"entries": [{"in": x, "out": "0,0,0,0"} for x in coords]}))
+    argv = {
+        "check-map": [files["k_f3"], files["k_f3"], str(map_path)],
+        "check-derivation": [files["k_f3"], str(map_path)],
+        "reduce-derivation": [files["k_f3"], str(map_path), "--idempotent", "1,0,0,0"],
+        "audit": [files["k_f3"], "--mode", "derivations" if n == "33" else "maps"],
+    }[command]
+    monkeypatch.setattr(sys, "argv", ["jordankit", command, *argv, "--n", n])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "<= 32" in err[0]
+
+
+@pytest.mark.parametrize("command", ["check-map", "check-derivation"])
+def test_dim_1_identity_at_max_degree(tmp_path, capsys, command):
+    # b0 b0 = 0 over F3: the identity is multiplicative and a derivation
+    # of every degree, decided here on one basis tuple of 32 slots
+    alg = tmp_path / "null.alg"
+    alg.write_text(json.dumps({"field": {"type": "prime", "p": 3}, "dim": 1, "basis": ["b0"],
+                               "products": []}))
+    map_path = tmp_path / "identity.map"
+    map_path.write_text(json.dumps({"entries": [{"in": x, "out": x} for x in "012"]}))
+    algebras = [str(alg)] * (2 if command == "check-map" else 1)
+    assert run([command, *algebras, str(map_path), "--n", "32"]).exit_code == 0
+    assert "result: PASS" in output_of(capsys)
+
+
 def test_audit_budget_flags(files, capsys):
     report = run(
         ["audit", files["k_f3"], "--n", "2", "--mode", "maps", "--budget-witnesses", "3"]

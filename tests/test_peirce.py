@@ -71,20 +71,16 @@ def test_find_idempotents_heuristic(kq):
     assert all_coords == sorted(all_coords)
 
 
-def test_find_idempotents_heuristic_extra(kq):
+def test_find_idempotents_heuristic_misses_off_grid(kq):
     f = kq.field
-    # e11 + e10 squares to itself in the symmetrized algebra but is
-    # 0/1-gridded anyway; a genuinely off-grid candidate uses 1/2 coords
+    # e11 + e10 squares to itself in the symmetrized algebra and is on
+    # the 0/1 grid; a genuinely off-grid idempotent uses 1/2 coords
     cand = kq.element([1, 1, 0, 0])
-    assert multiply(kq, cand, cand) == cand
     half = f.inv(f.from_int(2))
     off_grid = kq.element([half, half, half, half])
     assert multiply(kq, off_grid, off_grid) == off_grid
-    extra_hits = find_idempotents(kq, mode="heuristic", extra=[cand, off_grid])
-    coords = {h.element.coords for h in extra_hits}
-    assert cand.coords in coords
-    assert off_grid.coords in coords
     plain = {h.element.coords for h in find_idempotents(kq, mode="heuristic")}
+    assert cand.coords in plain
     assert off_grid.coords not in plain
 
 

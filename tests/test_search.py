@@ -225,6 +225,9 @@ def stream_algebra(request, name):
     pytest.param("spin3_f5", 3, 1, id="n3-spin3_f5-1"),
     pytest.param("spin3_f7", 3, 1, id="n3-spin3_f7-1"),
     pytest.param("m2f3", 3, 3, id="n3-m2f3-3"),
+    pytest.param("kf3", 4, 4, id="n4-kf3-4", marks=pytest.mark.xfail(strict=True, reason=(
+        "the degree-2 prefilter drops id, a 4-derivation in characteristic 3: "
+        "27 tables are reported exhausted against a span of 81"))),
 ])
 def test_derivation_stream_equals_leibniz_kernel_span(request, name, n, kernel_dim):
     """The n-derivation stream is the F_p span of the n-ary Leibniz system's kernel."""
