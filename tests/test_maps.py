@@ -766,6 +766,20 @@ def test_table_over_rationals_rejected(kq):
         MapTable(kq, kq, table=[0])
 
 
+def test_from_entries_requires_totality(kf3):
+    pairs = [(x, x) for x, _ in list(MapTable.identity(kf3).entries())[:-1]]
+    entries = [{"in": x.text(), "out": y.text()} for x, y in pairs]
+    with pytest.raises(FormatError, match="map table is not total: no entry for"):
+        map_table_from_dict({"entries": entries}, domain=kf3, codomain=kf3)
+
+
+def test_from_entries_rejects_duplicates(kf3):
+    x = kf3.basis_element(0)
+    entries = [{"in": x.text(), "out": y.text()} for y in (x, kf3.zero())]
+    with pytest.raises(FormatError, match="duplicate map entry for"):
+        map_table_from_dict({"entries": entries}, domain=kf3, codomain=kf3)
+
+
 def test_map_file_roundtrip_entries(tmp_path, kf3):
     t = transpose_map(kf3)
     t_table = MapTable(kf3, kf3, table=t.index_table())
