@@ -271,21 +271,16 @@ def all_trees(n: int, _start: int = 1):
                 yield Node(left, right)
 
 
-def _evaluate(tree, leaves, op, memo: dict | None = None):
+def _evaluate(tree, leaves, op):
     """The value of tree with slot s set to leaves[s - 1] and op at every node.
 
-    Leaves may be Elements or broadcasting index arrays; on index grids a
-    node is one flat take that broadcasts to the outer product of the
-    slots below it. When memo is given, it receives the value of every
-    subtree.
+    Leaves may be Elements, broadcasting index arrays, or pairs of either
+    (maps._identity); on index grids a node is one flat take that
+    broadcasts to the outer product of the slots below it.
     """
     if isinstance(tree, Leaf):
-        val = leaves[tree.slot - 1]
-    else:
-        val = op(_evaluate(tree.left, leaves, op, memo), _evaluate(tree.right, leaves, op, memo))
-    if memo is not None:
-        memo[tree] = val
-    return val
+        return leaves[tree.slot - 1]
+    return op(_evaluate(tree.left, leaves, op), _evaluate(tree.right, leaves, op))
 
 
 def _candidates(k: int, basis: list, add) -> list:

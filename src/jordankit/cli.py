@@ -21,11 +21,11 @@ from .algebra import (
 )
 from .errors import JordankitError
 from .peirce import (
+    _component_parts_zero,
     check_theorem_conditions,
     find_idempotents,
     idempotent_class,
     peirce_decompose,
-    peirce_project,
     verify_peirce_relations,
 )
 from .scalars import prime_field, rational_field
@@ -230,8 +230,7 @@ def _cmd_reduce_derivation(args) -> RunReport:
     dec = peirce_decompose(a, e)
     de = d.apply(e)
     rep.info(f"d(e): {de.text()}")
-    p1, ph, p0 = peirce_project(dec, de)
-    in_half = p1.is_zero() and p0.is_zero()
+    in_half = _component_parts_zero(dec, de, ("1", "0"))
     rep.verdict("d(e) in Jhalf", in_half, de.text() if not in_half else "")
     if not in_half:
         return rep.finish()
@@ -283,12 +282,8 @@ def _cmd_audit(args) -> RunReport:
     rep.info(f"exhausted: {'true' if report.exhausted else 'false'}")
     rep.verdict("all_additive", report.all_additive)
     if args.mode == "derivations":
-        bad = None
-        for table in report.tables:
-            p1, _, p0 = peirce_project(dec, table.apply(e))
-            if not (p1.is_zero() and p0.is_zero()):
-                bad = table.apply(e)
-                break
+        images = (table.apply(e) for table in report.tables)
+        bad = next((de for de in images if not _component_parts_zero(dec, de, ("1", "0"))), None)
         rep.verdict("d(e) in Jhalf for all witnesses", bad is None, bad.text() if bad else "")
     return rep.finish()
 

@@ -5,20 +5,22 @@ arrays); over the rationals only linear, matrix-backed maps are
 supported.
 
 Every predicate is one identity over monomial trees, checked by one
-evaluator. A homomorphism identity says phi(m(x)) = m'(phi(x)): the
-n-ary monomials over the products for n-multiplicativity, x1 + x2 over
-the sums for additivity, and (x1 x2) x1 for Jordan semitriple maps. A
-derivation identity says d(m(x)) is the sum, over the leaf occurrences
-of m, of m with d applied at that leaf: the n-ary monomials for
-n-derivations, and (x1 x2) x1 for Jordan triple derivations. A slot may
-occur twice in a tree.
+evaluator, and each identity is one rule at a product node x y: the
+image of x y from x, y and their images X, Y. A homomorphism's rule is
+X Y in the codomain, so phi(m(x)) = m'(phi(x)): the n-ary monomials over
+the products for n-multiplicativity, x1 + x2 over the sums for
+additivity, and (x1 x2) x1 for Jordan semitriple maps. A derivation's
+rule is the product rule X y + x Y, which unfolds by distributivity to
+d(m(x)) = the sum, over the leaf occurrences of m, of m with d applied
+at that leaf: the n-ary monomials for n-derivations, and (x1 x2) x1 for
+Jordan triple derivations. A slot may occur twice in a tree. The search
+module closes its tables under the same two rules.
 
-Both kinds run on any values: on Elements, and on broadcast index grids,
-where slot s of an n-tuple is an index array laid along axis s and a
-product is one flat take from the N x N table, whose result spans the
-outer product of the slots below it. For derivations every subtree is
-evaluated once, and each summand recomputes only the path from its leaf
-to the root.
+The evaluator walks a tree once over (value, image) pairs and compares
+phi(value) with the image at the root, on Elements or on broadcast index
+grids, where slot s of an n-tuple is an index array laid along axis s
+and a product is one flat take from the N x N table, whose result spans
+the outer product of the slots below it.
 
 A table over F_p is decided on generators and basis tuples. It is
 additive exactly when phi(x + g) = phi(x) + phi(g) for every carrier x
@@ -34,13 +36,16 @@ outright and takes the same basis tuples, on Elements, through the
 first-failure scan that also decides the ring identities.
 
 The full scan of every carrier n-tuple runs only when one of those
-checks fails, and then it alone gives the verdict and the witness. Both
-grid routes walk their tuples in steps of at most _CHUNK entries, in
-lexicographic order, so the first failing entry of a step in C order is
-the first witness. Each route charges its own tuple count against
-EVAL_BUDGET before it starts: the basis tuples for an additive table,
-N^n per tree for the full scan. A table decided on generators and basis
-tuples is never refused for the size of a scan it does not run.
+checks fails: it gives the verdict of a table that is not additive and
+the first lexicographic witness of any failing table. Both grid routes
+walk their tuples in steps of at most _CHUNK entries, in lexicographic
+order, so the first failing entry of a step in C order is the first
+witness. Each route charges its own tuple count against EVAL_BUDGET
+before it starts: the basis tuples for an additive table, N^n per tree
+for the full scan. A table decided on generators and basis tuples is
+never refused for the size of a scan it does not run: an additive table
+whose full scan would exceed the budget keeps its first failing basis
+tuple as the witness.
 """
 
 from __future__ import annotations
@@ -84,7 +89,7 @@ from .errors import (
     TorsionViolation,
 )
 from .linalg import invert, mat_mul, mat_sub, mat_vec
-from .peirce import PeirceDecomposition, peirce_decompose, peirce_project
+from .peirce import PeirceDecomposition, _component_parts_zero, peirce_decompose
 from .scalars import is_torsion_free
 
 EVAL_BUDGET = 10**8  # the most evaluations one predicate check may run
@@ -125,7 +130,8 @@ class FunctionTable:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-        self._table = None if table is None else self._checked_table(table)
+        # the table the map was built from, and the full one index_table() caches
+        self._table = self._index = None if table is None else self._checked_table(table)
         if self._table is not None and matrix is not None:
             self._check_hint_consistency()
 
@@ -194,9 +200,9 @@ class FunctionTable:
 
     def index_table(self) -> np.ndarray:
         """The full index table, materializing it from the matrix if needed."""
-        if self._table is None:
-            self._table = self._checked_table(self._matrix_table())
-        return self._table
+        if self._index is None:
+            self._index = self._checked_table(self._matrix_table())
+        return self._index
 
     def has_table(self) -> bool:
         if self._table is not None:
@@ -298,47 +304,35 @@ def _table_op(table: np.ndarray):
     return lambda x, y: table.take(x * size + y)
 
 
-def _substituted(tree, memo: dict, subs, op):
-    """Yield tree's value with one leaf occurrence of slot s set to subs[s - 1].
+def _homomorphism_rule(cod_op):
+    """The image of a product x y under a homomorphism: cod_op(X, Y).
 
-    Occurrences go left to right. Only the path from the substituted leaf
-    to the root is recomputed; every other subtree is read from memo
-    (_evaluate).
+    X and Y are the images of x and y. Both rules take Elements and
+    broadcasting index arrays alike.
     """
-    if isinstance(tree, Leaf):
-        yield subs[tree.slot - 1]
-        return
-    right = memo[tree.right]
-    for val in _substituted(tree.left, memo, subs, op):
-        yield op(val, right)
-    left = memo[tree.left]
-    for val in _substituted(tree.right, memo, subs, op):
-        yield op(left, val)
+    return lambda x, X, y, Y: cod_op(X, Y)
 
 
-def _homomorphism(phi, op, cod_op):
-    """The kind phi(m(x)) = m'(phi(x)): m applies op at every node, m' cod_op."""
-
-    def mismatch(tree, leaves):
-        lhs = phi(_evaluate(tree, leaves, op))
-        return lhs != _evaluate(tree, [phi(x) for x in leaves], cod_op)
-
-    return mismatch
+def _derivation_rule(mul, add):
+    """The image of a product x y under a derivation: X y + x Y."""
+    return lambda x, X, y, Y: add(mul(X, y), mul(x, Y))
 
 
-def _derivation(d, mul, add):
-    """The kind d(m(x)) = the sum, over leaf occurrences, of m with d there."""
+def _identity(phi, op, rule):
+    """mismatch(tree, leaves): phi(m(x)) != the image rule builds for m(x).
+
+    m applies op at every node. The tree is evaluated once over (value,
+    image) pairs, the leaves paired with their images phi(x) and every
+    node's image built by rule from its children's.
+    """
+
+    def node(left, right):
+        (x, X), (y, Y) = left, right
+        return op(x, y), rule(x, X, y, Y)
 
     def mismatch(tree, leaves):
-        memo = {}
-        _evaluate(tree, leaves, mul, memo)
-        lhs = d(memo.pop(tree))  # the summands never read the root: free it
-        # a loop, not functools.reduce, which keeps the last summand and
-        # sum alive while the next summand is computed
-        rhs = None
-        for term in _substituted(tree, memo, [d(x) for x in leaves], mul):
-            rhs = term if rhs is None else add(rhs, term)
-        return lhs != rhs
+        value, image = _evaluate(tree, [(x, phi(x)) for x in leaves], node)
+        return phi(value) != image
 
     return mismatch
 
@@ -390,7 +384,8 @@ def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
 def _sum_identity(t: FunctionTable):
     """The domain carrier and the additivity identity of t on x1 + x2."""
     dom, cod = t.domain_carrier(), t.codomain_carrier()
-    return dom, _homomorphism(t.index_table().take, _table_op(dom.add), _table_op(cod.add))
+    rule = _homomorphism_rule(_table_op(cod.add))
+    return dom, _identity(t.index_table().take, _table_op(dom.add), rule)
 
 
 def _additive_on_generators(t: FunctionTable) -> bool:
@@ -420,16 +415,13 @@ def _basis_tuples(trees, n: int, basis: list, add) -> list:
 def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     """The first (tree, args) of basis tuples at which a linear map fails.
 
-    Trees go outermost, then the basis tuples of _slot_candidates.
+    The map runs on Elements. Trees go outermost, then the basis tuples of
+    _slot_candidates.
     """
-    a = t.domain
-    ranges = _basis_tuples(trees, n, a.basis_elements(), operator.add)
-    mul = functools.partial(multiply, a)
-    if derivation:
-        mismatch = _derivation(t.apply, mul, operator.add)
-    else:
-        mismatch = _homomorphism(t.apply, mul, functools.partial(multiply, t.codomain))
-    hit = _first_failure(((tree, ranges) for tree in trees), mismatch)
+    mul, cod_mul = functools.partial(multiply, t.domain), functools.partial(multiply, t.codomain)
+    rule = _derivation_rule(mul, operator.add) if derivation else _homomorphism_rule(cod_mul)
+    ranges = _basis_tuples(trees, n, t.domain.basis_elements(), operator.add)
+    hit = _first_failure(((tree, ranges) for tree in trees), _identity(t.apply, mul, rule))
     return Verdict(True) if hit is None else Verdict(False, hit)
 
 
@@ -440,22 +432,30 @@ def _check(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     on index grids: an additive table over F_p is linear, so it passes
     when it passes on the basis tuples of _slot_candidates; any other
     table, and a failing one for its first witness, is scanned over every
-    carrier tuple.
+    carrier tuple. A failing additive table whose scan would exceed
+    EVAL_BUDGET keeps its first failing basis tuple as the witness.
     """
     if derivation and t.domain is not t.codomain:
         raise AlgebraMismatch("a derivation needs codomain == domain")
     if not t.has_table():
         return _basis_scan(t, n, trees, derivation)
     dom = t.domain_carrier()
-    kind = _derivation if derivation else _homomorphism
-    second = dom.add if derivation else t.codomain_carrier().mul
-    mismatch = kind(t.index_table().take, _table_op(dom.mul), _table_op(second))
+    mul, add = _table_op(dom.mul), _table_op(dom.add)
+    cod_mul = _table_op(t.codomain_carrier().mul)
+    rule = _derivation_rule(mul, add) if derivation else _homomorphism_rule(cod_mul)
+    mismatch = _identity(t.index_table().take, mul, rule)
     if _additive_on_generators(t):
         basis = [dom.basis_index(i) for i in range(dom.dim)]
-        ranges = [np.array(c, dtype=np.int64)
-                  for c in _basis_tuples(trees, n, basis, _table_op(dom.add))]
-        if all(_first_hit(tree, ranges, mismatch) is None for tree in trees):
+        ranges = [np.array(c, dtype=np.int64) for c in _basis_tuples(trees, n, basis, add)]
+        for tree in trees:
+            hit = _first_hit(tree, ranges, mismatch)
+            if hit is not None:
+                break
+        else:
             return Verdict(True)
+        if dom.size**n * len(trees) > EVAL_BUDGET:  # the full scan does not fit
+            args = tuple(dom.element_at(int(r[i])) for r, i in zip(ranges, hit))
+            return Verdict(False, (tree, args))
     return _grid_scan(dom, n, trees, mismatch)
 
 
@@ -502,9 +502,7 @@ def _trees_for(n: int, tree_mode: str):
 
 def is_additive(t: FunctionTable) -> Verdict:
     """phi(x + y) = phi(x) + phi(y) on every carrier pair."""
-    if not t.has_table():
-        return Verdict(True)  # a matrix-backed map is linear, hence additive
-    if _additive_on_generators(t):
+    if not t.has_table() or _additive_on_generators(t):  # a matrix is linear, hence additive
         return Verdict(True)
     dom, mismatch = _sum_identity(t)
     return _pair_witness(_grid_scan(dom, 2, [_SUM], mismatch))
@@ -604,11 +602,8 @@ def reduce_derivation(
     if dec.idempotent != e:
         raise PreconditionViolated("decomposition does not match the idempotent")
     de = d.apply(e)
-    part1, part_half, part0 = peirce_project(dec, de)
-    if not (part1.is_zero() and part0.is_zero()):
-        raise DerivationOfIdempotentNotHalf(
-            f"d(e) = {de!r} has components outside J_1/2"
-        )
+    if not _component_parts_zero(dec, de, ("1", "0")):
+        raise DerivationOfIdempotentNotHalf(f"d(e) = {de!r} has components outside J_1/2")
     inner = inner_derivation(a, de, e.scaled(4))
     three = f.from_int(3)
     if d.matrix is not None:
@@ -649,8 +644,7 @@ def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) ->
         return Verdict(True)
     for key in keys:
         for v in dec.component_basis(key):
-            parts = dict(zip(keys, peirce_project(dec, delta.apply(v))))
-            if any(not parts[k].is_zero() for k in keys if k != key):
+            if not _component_parts_zero(dec, delta.apply(v), [k for k in keys if k != key]):
                 return Verdict(False, (key, v))
     return Verdict(True)
 

@@ -205,9 +205,9 @@ class PeirceRelationReport:
 
 
 def _component_parts_zero(dec, x, keys) -> bool:
-    x1, xh, x0 = peirce_project(dec, x)
-    by_key = {"1": x1, "half": xh, "0": x0}
-    return all(by_key[k].is_zero() for k in keys)
+    """True iff x has no part in the Peirce components keys ("1", "half", "0")."""
+    parts = dict(zip(("1", "half", "0"), peirce_project(dec, x)))
+    return all(parts[k].is_zero() for k in keys)
 
 
 def verify_peirce_relations(dec: PeirceDecomposition) -> PeirceRelationReport:

@@ -1,12 +1,14 @@
 """Exhaustive enumeration of multiplicative bijections and derivations.
 
 Both searches assign images to carrier elements in lexicographic order,
-depth first, and close every assignment under the constraints of the
-canonical monomial x1(x2(...(x_{n-1} x_n))). The closure works on pairs
+depth first, and close every assignment under the canonical monomial
+x1(x2(...(x_{n-1} x_n))) by the node rule of the maps predicates: if x
+and t map to X and T, x t maps to rule(x, X, t, T), which is X T for a
+bijection and X t + x T for a derivation. The closure works on pairs
 (t, s): a level-k pair says that a level-k monomial over assigned
 elements has value t and that the map must send t to s. Level 1 holds
-the base pairs (x, img x); a level-(k+1) pair is a step of an assigned x
-onto a level-k pair; a level-n pair forces img[t] = s.
+the base pairs (x, img x); an assigned x steps onto a level-k pair to
+give (x t, rule(x, img x, t, s)); a level-n pair forces img[t] = s.
 
 The closure is semi-naive and runs in rounds. Each round takes the
 images forced in the last one as new base pairs and gathers, level by
@@ -78,6 +80,9 @@ from .maps import (
     MAX_DEGREE,
     DerivationTable,
     MapTable,
+    _derivation_rule,
+    _homomorphism_rule,
+    _table_op,
     is_additive,
     is_n_derivation,
     is_n_multiplicative,
@@ -103,16 +108,11 @@ class SearchBudget:
 
 
 # Products of one gather evaluated at once, counted over all candidate rows.
-# Bounds the temporaries of a _step call where many candidates meet many
+# Bounds the temporaries of a rule call where many candidates meet many
 # products (n >= 3 on large carriers); the rows' values themselves, one
 # per pair, and for bijections one owner per codomain element, are not
 # chunked.
 _GATHER_CHUNK = 1 << 18
-
-
-def _gather(table: np.ndarray, rows, cols) -> np.ndarray:
-    """table[rows, cols] for broadcasting index arrays, as one flat take."""
-    return table.take(rows * table.shape[1] + cols)
 
 
 @dataclass
@@ -189,7 +189,7 @@ class _Round:
 
 
 class _TableSearch:
-    """Shared DFS engine; subclasses fix the forcing step and the output."""
+    """Shared DFS engine; subclasses fix the node rule and the output."""
 
     bijective = False
 
@@ -211,9 +211,8 @@ class _TableSearch:
         self.dom = dom
         self.cod = cod
         self.size = dom.size
-        self.np_mul = dom.mul
-        self.np_cod_mul = cod.mul
-        self.np_cod_add = cod.add
+        self.mul = _table_op(dom.mul)
+        self.rule = self._rule()
         # search state: pairs[i][:, :counts[i]] holds the level-(i + 1)
         # pairs (t, s), in the column order of the rounds that added them;
         # level 1 is the assignment itself, in commit order.
@@ -234,11 +233,9 @@ class _TableSearch:
 
     # -- subclass hooks ----------------------------------------------------
 
-    def _step(self, xs, vs, ts, ss):
-        """(mul[xs, ts], forced image of xs * ts) for img xs = vs, img ts = ss.
-
-        Arguments broadcast against each other like numpy index arrays.
-        """
+    def _rule(self):
+        """The maps-module node rule: rule(x, img x, t, img t) is the image
+        x * t is forced to, on index arrays that broadcast like numpy's."""
         raise NotImplementedError
 
     def _emit(self):
@@ -268,7 +265,7 @@ class _TableSearch:
         top = self.n - 2
         base = ts[0]
         cols = _semi_naive(base, old[0], ts[top], old[top])
-        z = _gather(self.np_mul, cols.ex, cols.t)
+        z = self.mul(cols.ex, cols.t)
         assigned = self._base_column(base, z)
         free = np.flatnonzero(assigned == -1)
         forced, first = np.unique(z[free], return_index=True)
@@ -294,9 +291,8 @@ class _TableSearch:
 
     def _targets(self, cols: _Columns, vals: list, i: int) -> np.ndarray:
         """The forced images of the products cols at level i + 1, one row per candidate."""
-        _, t = self._step(cols.ex, vals[0].take(cols.ex_pos, axis=1),
-                          cols.t, vals[i].take(cols.t_pos, axis=1))
-        return t
+        return self.rule(cols.ex, vals[0].take(cols.ex_pos, axis=1),
+                         cols.t, vals[i].take(cols.t_pos, axis=1))
 
     def _taken(self, owner: np.ndarray, rows: np.ndarray, images: np.ndarray, at: int):
         """Rows whose new images (base columns at..) are already taken or repeat.
@@ -356,7 +352,7 @@ class _TableSearch:
                 for j in range(0, len(cols), step):
                     s[:, j:j + step] = self._targets(cols[j:j + step], vals, i)
                 ts[i + 1], vals[i + 1] = _distinct(
-                    np.concatenate([ts[i + 1], _gather(self.np_mul, cols.ex, cols.t)]),
+                    np.concatenate([ts[i + 1], self.mul(cols.ex, cols.t)]),
                     np.concatenate([vals[i + 1], s], axis=1), old[i + 1])
             rnd = self._plan(ts, old)
             dead = np.zeros(live.size, dtype=bool)
@@ -433,7 +429,7 @@ class _TableSearch:
         check = self._prefilters.get(key)
         if check is None:
             cols = _semi_naive(base, m, base, m)
-            target = self._base_column(base, _gather(self.np_mul, cols.ex, cols.t))
+            target = self._base_column(base, self.mul(cols.ex, cols.t))
             checked = np.flatnonzero(target != -1)
             check = self._prefilters[key] = (cols[checked], target[checked])
         cols, target = check
@@ -492,9 +488,8 @@ class MultiplicativeBijectionSearch(_TableSearch):
 
     bijective = True
 
-    def _step(self, xs, vs, ts, ss):
-        # phi(x * t) = phi(x) * phi(t)
-        return _gather(self.np_mul, xs, ts), _gather(self.np_cod_mul, vs, ss)
+    def _rule(self):
+        return _homomorphism_rule(_table_op(self.cod.mul))
 
     def _emit(self):
         return MapTable(self.domain, self.codomain, table=self.img.copy())
@@ -506,13 +501,8 @@ class MultiplicativeBijectionSearch(_TableSearch):
 class DerivationSearch(_TableSearch):
     """All total tables satisfying the canonical n-derivation identity."""
 
-    bijective = False
-
-    def _step(self, xs, vs, ts, ss):
-        # d(x * t) = d(x) * t + x * d(t)
-        mul = self.np_mul
-        target = _gather(self.np_cod_add, _gather(mul, vs, ts), _gather(mul, xs, ss))
-        return _gather(mul, xs, ts), target
+    def _rule(self):
+        return _derivation_rule(self.mul, _table_op(self.cod.add))
 
     def _emit(self):
         return DerivationTable(self.domain, table=self.img.copy())

@@ -274,6 +274,40 @@ def test_dim_1_identity_at_max_degree(tmp_path, capsys, command):
     assert "result: PASS" in output_of(capsys)
 
 
+def f3_unit_identity(tmp_path):
+    """Paths of F3 itself (b0 b0 = b0) and of its identity map."""
+    alg = tmp_path / "f3.alg"
+    alg.write_text(json.dumps({"name": "f3", "field": {"type": "prime", "p": 3}, "dim": 1,
+                               "basis": ["b0"], "products": [{"i": 0, "j": 0, "k": 0, "c": "1"}]}))
+    map_path = tmp_path / "identity.map"
+    map_path.write_text(json.dumps({"matrix": [["1"]]}))
+    return str(alg), str(map_path)
+
+
+@pytest.mark.parametrize("n", [20, 32])
+def test_additive_failure_beyond_the_scan_budget_exits_1(tmp_path, capsys, n):
+    # 3^n carrier tuples exceed the budget, but the one basis tuple
+    # (b0, ..., b0) already refutes the identity: n b0 != b0 over F3
+    alg, map_path = f3_unit_identity(tmp_path)
+    assert run(["check-derivation", alg, map_path, "--n", str(n)]).exit_code == 1
+    out = output_of(capsys)
+    assert f"verdict {n}-derivation (canonical): fail witness={';'.join(['1'] * n)}\n" in out
+    assert out.endswith("result: FAIL\n")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_additive_failure_within_the_scan_budget_report(tmp_path, capsys, n):
+    alg, map_path = f3_unit_identity(tmp_path)
+    assert run(["check-derivation", alg, map_path, "--n", str(n)]).exit_code == 1
+    assert output_of(capsys) == (
+        "command: check-derivation\n"
+        "algebra: f3 dim=1 field=F3\n"
+        f"verdict {n}-derivation (canonical): fail witness={';'.join(['1'] * n)}\n"
+        "additive: true\n"
+        "result: FAIL\n"
+    )
+
+
 def test_audit_budget_flags(files, capsys):
     report = run(
         ["audit", files["k_f3"], "--n", "2", "--mode", "maps", "--budget-witnesses", "3"]

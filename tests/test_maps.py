@@ -45,7 +45,7 @@ from jordankit import maps as maps_module
 from jordankit.linalg import mat_mul, mat_sub
 
 import oracles
-from conftest import planted_peirce_violation
+from conftest import diagonal_product_algebra, planted_peirce_violation
 from strategies import f3_algebras
 
 
@@ -449,6 +449,33 @@ def test_n_derivation_budget(kf3):
         is_n_derivation(DerivationTable(kf3, table=swapped_table(kf3)), 5)
 
 
+@pytest.mark.parametrize("n", [20, 32])
+@pytest.mark.parametrize("kind", ["multiplicative", "derivation"])
+def test_additive_failure_beyond_the_scan_budget_keeps_its_basis_witness(f3, kind, n):
+    # F3 itself (b0 b0 = b0): 3^n carrier tuples exceed the budget, but the
+    # basis tuple (b0, ..., b0) refutes x -> 2x (2 b0 != 2^n b0 = b0) and
+    # the identity as a derivation (b0 != n b0)
+    a = diagonal_product_algebra(f3, 1)
+    tree = canonical_tree(n)
+    if kind == "derivation":
+        t = DerivationTable.identity(a)
+        verdict = is_n_derivation(t, n)
+    else:
+        t = MapTable.from_matrix(a, a, [[f3.from_int(2)]])
+        verdict = is_n_multiplicative(t, n)
+    assert not verdict.ok
+    assert verdict.witness == (tree, (a.basis_element(0),) * n)
+    args = list(verdict.witness[1])
+    lhs = t.apply(monomial_eval(a, tree, args))
+    if kind == "derivation":
+        rhs = a.zero()
+        for i in range(n):
+            rhs = rhs + monomial_eval(a, tree, args[:i] + [t.apply(args[i])] + args[i + 1:])
+    else:
+        rhs = monomial_eval(a, tree, [t.apply(x) for x in args])
+    assert lhs != rhs
+
+
 # ---------------------------------------------------------------------------
 # the grid evaluator against the Element-level reference
 
@@ -827,6 +854,19 @@ def test_map_entries_over_rationals_rejected(kq):
         map_table_from_dict(
             {"entries": [{"in": "0,0,0,0", "out": "0,0,0,0"}]}, domain=kq, codomain=kq
         )
+
+
+@pytest.mark.parametrize("build", ["matrix", "table"])
+def test_map_file_form_and_repr_do_not_depend_on_history(kf3, build):
+    # a predicate materializes a matrix map's index table; the map still
+    # writes and shows what it was built from
+    t = MapTable.identity(kf3)
+    if build == "table":
+        t = MapTable(kf3, kf3, table=t.index_table())
+    before = map_table_to_dict(t), repr(t)
+    assert is_additive(t).ok and is_n_multiplicative(t, 2).ok
+    assert (map_table_to_dict(t), repr(t)) == before
+    assert ("entries" in before[0]) == (build == "table") and build in before[1]
 
 
 def test_map_dict_includes_matrix_and_consistency(kf3):
