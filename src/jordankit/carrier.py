@@ -94,23 +94,6 @@ class FiniteCarrier:
         out = (self.coords * (int(c) % self.p)) % self.p
         return (out @ self.powers).astype(np.int64)
 
-    def span_indices(self, vectors) -> np.ndarray:
-        """Sorted indices of all F_p-linear combinations of the given elements."""
-        if not vectors:
-            return np.array([0], dtype=np.int64)
-        k = len(vectors)
-        basis = np.array([[int(c) for c in v.coords] for v in vectors], dtype=np.int64)
-        combos = np.indices((self.p,) * k).reshape(k, -1).T
-        pts = (combos @ basis) % self.p
-        idx = np.unique((pts @ self.powers).astype(np.int64))
-        return idx
-
-    def membership_mask(self, vectors) -> np.ndarray:
-        """Boolean mask over the carrier for membership in the given span."""
-        mask = np.zeros(self.size, dtype=bool)
-        mask[self.span_indices(vectors)] = True
-        return mask
-
 
 def carrier_of(a: Algebra) -> FiniteCarrier:
     """The finite carrier of an algebra over a prime field, built once and cached."""

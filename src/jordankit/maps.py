@@ -55,6 +55,7 @@ import itertools
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,11 @@ from .algebra import (
     _evaluate,
     _first_failure,
     _slot_candidates,
+    algebra_from_dict,
+    algebra_to_dict,
     all_trees,
     canonical_tree,
+    load_algebra,
     mult_operators,
     multiply,
     noncommuting_pair,
@@ -88,7 +92,7 @@ from .errors import (
     PreconditionViolated,
     TorsionViolation,
 )
-from .linalg import invert, mat_mul, mat_sub, mat_vec
+from .linalg import identity_matrix, invert, mat_mul, mat_sub, mat_vec, zeros
 from .peirce import PeirceDecomposition, _component_parts_zero, peirce_decompose
 from .scalars import is_torsion_free
 
@@ -101,6 +105,12 @@ _CHUNK = 1 << 20
 # Jordan semitriple forms
 _SUM = Node(Leaf(1), Leaf(2))
 _SEMITRIPLE = Node(Node(Leaf(1), Leaf(2)), Leaf(1))
+
+
+def _check_degree(n: int) -> None:
+    """Refuse a monomial degree n outside 2..MAX_DEGREE."""
+    if not 2 <= n <= MAX_DEGREE:
+        raise ArityMismatch(f"monomial degree must be >= 2 and <= {MAX_DEGREE}, got {n}")
 
 
 @dataclass
@@ -180,14 +190,10 @@ class FunctionTable:
 
     @classmethod
     def identity(cls, a: Algebra):
-        from .linalg import identity_matrix
-
         return cls._construct(a, a, matrix=identity_matrix(a.field, a.dim))
 
     @classmethod
     def zero(cls, a: Algebra):
-        from .linalg import zeros
-
         return cls._construct(a, a, matrix=zeros(a.field, a.dim, a.dim))
 
     # -- basic access --------------------------------------------------------
@@ -366,19 +372,25 @@ def _first_hit(tree, slots: list[np.ndarray], mismatch):
     return None
 
 
-def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
-    """The first (tree, args) at which mismatch(tree, grids) is true.
+def _walk(dom: FiniteCarrier, trees, ranges: list[np.ndarray], mismatch) -> Verdict:
+    """The first (tree, args) with args drawn from ranges at which
+    mismatch(tree, grids) is true.
 
-    Trees go in the given order and n-tuples of carrier elements in
-    lexicographic order (_first_hit).
+    Trees go in the given order and the tuples of each in lexicographic
+    order (_first_hit).
     """
-    _check_budget(dom.size**n * len(trees))
-    values = [np.arange(dom.size, dtype=np.int64)] * n
     for tree in trees:
-        hit = _first_hit(tree, values, mismatch)
+        hit = _first_hit(tree, ranges, mismatch)
         if hit is not None:
-            return Verdict(False, (tree, tuple(dom.element_at(i) for i in hit)))
+            args = tuple(dom.element_at(int(r[i])) for r, i in zip(ranges, hit))
+            return Verdict(False, (tree, args))
     return Verdict(True)
+
+
+def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
+    """_walk over every carrier n-tuple, charged against EVAL_BUDGET first."""
+    _check_budget(dom.size**n * len(trees))
+    return _walk(dom, trees, [np.arange(dom.size, dtype=np.int64)] * n, mismatch)
 
 
 def _sum_identity(t: FunctionTable):
@@ -447,15 +459,9 @@ def _check(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     if _additive_on_generators(t):
         basis = [dom.basis_index(i) for i in range(dom.dim)]
         ranges = [np.array(c, dtype=np.int64) for c in _basis_tuples(trees, n, basis, add)]
-        for tree in trees:
-            hit = _first_hit(tree, ranges, mismatch)
-            if hit is not None:
-                break
-        else:
-            return Verdict(True)
-        if dom.size**n * len(trees) > EVAL_BUDGET:  # the full scan does not fit
-            args = tuple(dom.element_at(int(r[i])) for r, i in zip(ranges, hit))
-            return Verdict(False, (tree, args))
+        v = _walk(dom, trees, ranges, mismatch)
+        if v.ok or dom.size**n * len(trees) > EVAL_BUDGET:  # or the full scan does not fit
+            return v
     return _grid_scan(dom, n, trees, mismatch)
 
 
@@ -485,10 +491,7 @@ class _AllTrees:
 
 
 def _trees_for(n: int, tree_mode: str):
-    if n < 2:
-        raise ArityMismatch(f"multiplicativity degree must be >= 2, got {n}")
-    if n > MAX_DEGREE:
-        raise ArityMismatch(f"monomial degree must be <= {MAX_DEGREE}, got {n}")
+    _check_degree(n)
     if tree_mode == "canonical":
         return [canonical_tree(n)]
     if tree_mode == "all_trees":
@@ -588,8 +591,7 @@ def reduce_derivation(
     derivation, and that d(e) lies in the half eigenspace before building
     the reduction.
     """
-    if n < 2:
-        raise ArityMismatch(f"reduction needs n >= 2, got {n}")
+    _check_degree(n)
     f = a.field
     if not is_torsion_free(f, 2):
         raise TorsionViolation("field must be 2-torsion free")
@@ -622,6 +624,16 @@ def reduce_derivation(
     return delta
 
 
+def _component_masks(dom: FiniteCarrier, dec: PeirceDecomposition) -> dict:
+    """The carrier mask of each Peirce component: the elements whose Peirce
+    coordinates B^-1 x, one product for the whole carrier, vanish off its rows."""
+    inv = np.array([[int(c) for c in row] for row in dec.inverse_basis], dtype=np.int64)
+    zero = (dom.coords @ inv.T % dom.p) == 0
+    rows = dec.component_rows
+    others = {k: [i for o in rows if o != k for i in rows[o]] for k in rows}
+    return {k: zero[:, others[k]].all(axis=1) for k in rows}
+
+
 def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) -> Verdict:
     """True iff delta maps every Peirce component into itself."""
     a = delta.domain
@@ -633,10 +645,8 @@ def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) ->
     if delta.has_table():
         dom = delta.domain_carrier()
         table = delta.index_table()
-        for key in keys:
-            basis = dec.component_basis(key)
-            idxs = dom.span_indices(basis)
-            mask = dom.membership_mask(basis)
+        for key, mask in _component_masks(dom, dec).items():
+            idxs = np.flatnonzero(mask)
             ok = mask[table[idxs]]
             if not ok.all():
                 bad = int(idxs[int(np.argmax(~ok))])
@@ -654,8 +664,6 @@ def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) ->
 
 
 def map_table_to_dict(t: FunctionTable) -> dict:
-    from .algebra import algebra_to_dict
-
     data = {
         "domain": algebra_to_dict(t.domain),
         "codomain": algebra_to_dict(t.codomain),
@@ -703,8 +711,6 @@ def map_table_from_dict(
     base_dir=None,
 ) -> MapTable:
     """Load a map table; explicit algebras override the file's own."""
-    from .algebra import algebra_from_dict, load_algebra
-
     if not isinstance(data, dict):
         raise FormatError("map file must hold a JSON object")
     def resolve(key, override):
@@ -714,19 +720,16 @@ def map_table_from_dict(
             raise FormatError(f"map file missing {key!r} and no override given")
         ref = data[key]
         if isinstance(ref, str):
-            import os
-
             path = ref if base_dir is None else os.path.join(base_dir, ref)
-            return load_algebra(path)
+            try:
+                return load_algebra(path)
+            except OSError as exc:
+                raise FormatError(f"map file {key} {ref!r} cannot be read: {exc}") from exc
         return algebra_from_dict(ref)
 
     dom = resolve("domain", domain)
-    if codomain is not None:
-        cod = codomain
-    elif "codomain" in data:
-        cod = resolve("codomain", None)
-    else:
-        cod = dom
+    # a file without a codomain maps its domain to itself
+    cod = dom if codomain is None and "codomain" not in data else resolve("codomain", codomain)
     matrix = None
     if "matrix" in data:
         rows = data["matrix"]
@@ -747,8 +750,6 @@ def map_table_from_dict(
 
 
 def load_map_table(path, domain=None, codomain=None) -> MapTable:
-    import os
-
     return map_table_from_dict(
         read_json(path), domain=domain, codomain=codomain,
         base_dir=os.path.dirname(os.path.abspath(path)),

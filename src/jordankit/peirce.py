@@ -6,6 +6,11 @@ algebras this operator is plain multiplication by e; on noncommutative
 ones the caller must opt in explicitly, and all component products here
 use the symmetrized product so the matrix-unit example decomposes the
 way its Peirce components are classically stated.
+
+Membership is decided from the Peirce coordinates c = B^-1 x, where the
+columns of B are the component bases b_1..b_d laid side by side: x lies
+in a component exactly when c vanishes on the rows of the other two, and
+its part in component K is the sum of c_i b_i over K's rows.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     NoncommutativeDomain,
     NotIdempotent,
 )
-from .linalg import identity_matrix, invert, kernel_basis, mat_mul, mat_sub, mat_vec
+from .linalg import identity_matrix, invert, kernel_basis, mat_sub, mat_vec
 
 HEURISTIC_DIM_CAP = 20
 
@@ -115,27 +120,13 @@ class PeirceDecomposition:
         if inv is None:
             raise DecompositionIncomplete("component bases are not linearly independent")
         self.inverse_basis = inv
-        self.projectors = self._build_projectors()
+        # the rows of B^-1, and the columns of B, that belong to each component
+        d1, dh, _ = self.dims
+        self.component_rows = {"1": range(d1), "half": range(d1, d1 + dh), "0": range(d1 + dh, d)}
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return (len(self.basis1), len(self.basis_half), len(self.basis0))
-
-    def _build_projectors(self):
-        f = self.algebra.field
-        d = self.algebra.dim
-        d1, dh, _ = self.dims
-        ranges = {
-            "1": range(0, d1),
-            "half": range(d1, d1 + dh),
-            "0": range(d1 + dh, d),
-        }
-        projs = {}
-        for key, rng in ranges.items():
-            # B . (select component columns) . B^-1
-            bsel = [[self.change_of_basis[i][j] if j in rng else f.zero() for j in range(d)] for i in range(d)]
-            projs[key] = mat_mul(f, bsel, self.inverse_basis)
-        return projs
 
     def component_basis(self, key: str):
         return {"1": self.basis1, "half": self.basis_half, "0": self.basis0}[key]
@@ -172,16 +163,20 @@ def peirce_decompose(
     return PeirceDecomposition(a, e, *components)
 
 
+def _coordinates(dec: PeirceDecomposition, x: Element) -> list:
+    """The Peirce coordinates B^-1 x of x."""
+    if x.algebra is not dec.algebra:
+        raise AlgebraMismatch("element belongs to a different algebra")
+    return mat_vec(dec.algebra.field, dec.inverse_basis, list(x.coords))
+
+
 def peirce_project(dec: PeirceDecomposition, x: Element) -> tuple[Element, Element, Element]:
     """Unique components (x_1, x_half, x_0) with x = x_1 + x_half + x_0."""
-    a = dec.algebra
-    if x.algebra is not a:
-        raise AlgebraMismatch("element belongs to a different algebra")
-    f = a.field
-    parts = []
-    for key in ("1", "half", "0"):
-        parts.append(Element(a, tuple(mat_vec(f, dec.projectors[key], list(x.coords)))))
-    return tuple(parts)
+    c = _coordinates(dec, x)
+    return tuple(
+        sum((b.scaled(c[i]) for i, b in zip(rows, dec.component_basis(key))), dec.algebra.zero())
+        for key, rows in dec.component_rows.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +201,8 @@ class PeirceRelationReport:
 
 def _component_parts_zero(dec, x, keys) -> bool:
     """True iff x has no part in the Peirce components keys ("1", "half", "0")."""
-    parts = dict(zip(("1", "half", "0"), peirce_project(dec, x)))
-    return all(parts[k].is_zero() for k in keys)
+    c = _coordinates(dec, x)
+    return all(dec.algebra.field.is_zero(c[i]) for k in keys for i in dec.component_rows[k])
 
 
 def verify_peirce_relations(dec: PeirceDecomposition) -> PeirceRelationReport:
@@ -226,7 +221,7 @@ def verify_peirce_relations(dec: PeirceDecomposition) -> PeirceRelationReport:
 
     closed_in("J0*J0 <= J0", dec.basis0, dec.basis0, ("1", "half"))
     closed_in("J1*J1 <= J1", dec.basis1, dec.basis1, ("half", "0"))
-    # the projectors sum to the identity: a product is zero when every component is
+    # B^-1 is invertible: a product is zero when all its Peirce coordinates are
     closed_in("J1*J0 = 0", dec.basis1, dec.basis0, ("1", "half", "0"))
     closed_in(
         "(J1+J0)*Jhalf <= Jhalf", dec.basis1 + dec.basis0, dec.basis_half, ("1", "0")
@@ -263,11 +258,7 @@ def _annihilator_kernel(dec: PeirceDecomposition, t_basis, comp_basis):
     kern = kernel_basis(f, rows)
     if not kern:
         return None
-    coeffs = kern[0]
-    wit = a.zero()
-    for c, v in zip(coeffs, comp_basis):
-        wit = wit + v.scaled(c)
-    return wit
+    return sum((v.scaled(c) for c, v in zip(kern[0], comp_basis)), a.zero())
 
 
 def check_theorem_conditions(dec: PeirceDecomposition) -> ConditionReport:

@@ -75,11 +75,11 @@ import numpy as np
 
 from .algebra import Algebra
 from .carrier import carrier_of
-from .errors import ArityMismatch, CarrierSizeMismatch, PreconditionViolated
+from .errors import CarrierSizeMismatch, PreconditionViolated
 from .maps import (
-    MAX_DEGREE,
     DerivationTable,
     MapTable,
+    _check_degree,
     _derivation_rule,
     _homomorphism_rule,
     _table_op,
@@ -101,9 +101,9 @@ class SearchBudget:
     def __post_init__(self):
         for name in ("max_nodes", "max_seconds"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
+            if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive, got {v}")
-        if self.max_witnesses is not None and self.max_witnesses < 0:
+        if self.max_witnesses is not None and not self.max_witnesses >= 0:
             raise ValueError(f"max_witnesses must be >= 0, got {self.max_witnesses}")
 
 
@@ -194,10 +194,7 @@ class _TableSearch:
     bijective = False
 
     def __init__(self, domain: Algebra, codomain: Algebra, n: int, budget: SearchBudget | None):
-        if n < 2:
-            raise ArityMismatch(f"search needs monomial degree >= 2, got {n}")
-        if n > MAX_DEGREE:
-            raise ArityMismatch(f"search needs monomial degree <= {MAX_DEGREE}, got {n}")
+        _check_degree(n)
         self.domain = domain
         self.codomain = codomain
         self.n = n

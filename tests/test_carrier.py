@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import numpy as np
@@ -62,21 +61,6 @@ def test_apply_matrix_and_scalar_map(kf3):
     assert np.array_equal(via_matrix, via_scalar)
     for i in (0, 1, 40, 80):
         assert car.element_at(int(via_scalar[i])) == car.element_at(i).scaled(2)
-
-
-def test_span_indices(kf3):
-    car = carrier_of(kf3)
-    vectors = [kf3.basis_element(1), kf3.basis_element(2)]
-    span = car.span_indices(vectors)
-    assert len(span) == 9
-    expected = {
-        car.index_of(kf3.basis_element(1).scaled(a) + kf3.basis_element(2).scaled(b))
-        for a, b in itertools.product(range(3), repeat=2)
-    }
-    assert set(map(int, span)) == expected
-    mask = car.membership_mask(vectors)
-    assert int(mask.sum()) == 9
-    assert car.span_indices([]).tolist() == [0]
 
 
 def test_rational_carrier_is_infinite(kq):

@@ -1,3 +1,4 @@
+import itertools
 import json
 from unittest import mock
 
@@ -39,10 +40,12 @@ from jordankit import (
     peirce_project,
     prime_field,
     reduce_derivation,
+    save_algebra,
     save_map_table,
 )
 from jordankit import maps as maps_module
-from jordankit.linalg import mat_mul, mat_sub
+from jordankit.linalg import invert, mat_mul, mat_sub
+from jordankit.maps import _component_masks
 
 import oracles
 from conftest import diagonal_product_algebra, planted_peirce_violation
@@ -740,6 +743,89 @@ def test_peirce_check_planted_violation(kf3):
     assert key == "1" and witness == kf3.basis_element(0).scaled(2)
 
 
+def span_indices(carrier, basis) -> set:
+    """Carrier indices of every F_p-combination of basis, enumerated on Elements."""
+    a, p = carrier.algebra, carrier.p
+    return {
+        carrier.index_of(sum((b.scaled(c) for c, b in zip(cs, basis)), a.zero()))
+        for cs in itertools.product(range(p), repeat=len(basis))
+    }
+
+
+@pytest.mark.parametrize(
+    "fixture, idempotent",
+    [("kf3", (1, 0, 0, 0)), ("kf3", (1, 1, 0, 0)), ("kf5", (1, 0, 0, 0)), ("kf5", (3, 2, 2, 3)),
+     ("f3xf3", (1, 0))],
+)
+def test_component_masks_are_the_spans(request, fixture, idempotent):
+    a = request.getfixturevalue(fixture)
+    dec = peirce_decompose(a, a.element(list(idempotent)))
+    car = carrier_of(a)
+    masks = _component_masks(car, dec)
+    assert list(masks) == ["1", "half", "0"]
+    for key, mask in masks.items():
+        assert set(np.flatnonzero(mask).tolist()) == span_indices(car, dec.component_basis(key))
+    if fixture == "f3xf3":  # dims (1, 0, 1): J_1/2 is {0}
+        assert dec.dims == (1, 0, 1) and np.flatnonzero(masks["half"]).tolist() == [0]
+
+
+def first_failure_by_projection(delta, dec):
+    """The first (key, x), components in order and x by carrier index, with x in
+    component key and delta(x) not, decided by peirce_project."""
+    for k, key in enumerate(("1", "half", "0")):
+        outside = [i for i in range(3) if i != k]
+        for x, image in delta.entries():
+            parts, image_parts = peirce_project(dec, x), peirce_project(dec, image)
+            if all(parts[i].is_zero() for i in outside) and not all(
+                image_parts[i].is_zero() for i in outside
+            ):
+                return key, x
+    return None
+
+
+def test_peirce_check_table_witness_is_the_first_failure(kf3):
+    e = kf3.element([1, 1, 0, 0])  # components off the coordinate axes
+    dec = peirce_decompose(kf3, e)
+    car = carrier_of(kf3)
+    table = np.arange(car.size)
+    table[car.index_of(e)] = car.zero_index
+    # two elements of J_1/2, each sent into J_0; J_1 is preserved
+    u, v = dec.basis_half
+    low, high = sorted([car.index_of(u + v), car.index_of(v.scaled(2))])
+    table[[low, high]] = car.index_of(dec.basis0[0])
+    delta = DerivationTable(kf3, table=table)
+    verdict = derivation_peirce_check(delta, dec)
+    assert not verdict.ok
+    assert verdict.witness == ("half", car.element_at(low))
+    assert verdict.witness == first_failure_by_projection(delta, dec)
+    _, ph, _ = peirce_project(dec, verdict.witness[1])
+    assert ph == verdict.witness[1]
+    p1, _, p0 = peirce_project(dec, delta.apply(verdict.witness[1]))
+    assert not (p1.is_zero() and p0.is_zero())
+
+
+def test_peirce_check_matrix_witness_is_the_first_failing_basis_vector(kq):
+    f = kq.field
+    e = kq.element([1, 1, 0, 0])
+    dec = peirce_decompose(kq, e)
+    b = dec.change_of_basis
+    d1, dh, _ = dec.dims
+    # in Peirce coordinates: the second J_1/2 vector and the J_0 vector go to J_1
+    m = [[f.zero()] * 4 for _ in range(4)]
+    m[0][d1 + 1] = f.one()
+    m[0][d1 + dh] = f.one()
+    delta = DerivationTable(kq, matrix=mat_mul(f, mat_mul(f, b, m), invert(f, b)))
+    assert delta.apply(e).is_zero()
+    verdict = derivation_peirce_check(delta, dec)
+    assert not verdict.ok
+    key, witness = verdict.witness
+    assert (key, witness) == ("half", dec.basis_half[1])
+    p1, ph, p0 = peirce_project(dec, delta.apply(witness))
+    assert not p1.is_zero() and ph.is_zero() and p0.is_zero()
+    # the first J_1/2 vector is preserved: it is not the witness
+    assert all(p.is_zero() for p in peirce_project(dec, delta.apply(dec.basis_half[0])))
+
+
 def test_peirce_check_precondition(kf3):
     dec = peirce_decompose(kf3, kf3.basis_element(0))
     with pytest.raises(PreconditionViolated):
@@ -832,6 +918,31 @@ def test_map_file_embedded_algebras(tmp_path, kf3):
     back = load_map_table(path)  # algebras resolved from the file itself
     assert back.domain.table == kf3.table
     assert np.array_equal(back.index_table(), t.index_table())
+
+
+def test_map_file_references_resolve_against_its_directory(tmp_path, monkeypatch, kf3):
+    (tmp_path / "algebras").mkdir()
+    save_algebra(kf3, tmp_path / "algebras" / "k3.alg")
+    path = tmp_path / "maps" / "zero.map"
+    path.parent.mkdir()
+    path.write_text(json.dumps({"domain": "../algebras/k3.alg", "matrix": [["0"] * 4] * 4}))
+    monkeypatch.chdir(tmp_path / "algebras")  # the working directory plays no part
+    back = load_map_table(path)
+    assert back.domain.table == kf3.table and back.codomain is back.domain
+
+
+def test_map_file_missing_reference_is_a_format_error(tmp_path, kf3):
+    path = tmp_path / "ref.map"
+    path.write_text(json.dumps({"domain": "missing.alg", "matrix": [["1"]]}))
+    with pytest.raises(FormatError, match="'missing.alg'"):
+        load_map_table(path)
+    path.write_text(json.dumps({"domain": "missing.alg", "codomain": "gone.alg",
+                                "matrix": [["0"] * 4] * 4}))
+    with pytest.raises(FormatError, match="'gone.alg'"):
+        load_map_table(path, domain=kf3)
+    # explicit algebras win, and the missing files are never opened
+    back = load_map_table(path, domain=kf3, codomain=kf3)
+    assert back.domain is kf3 and back.codomain is kf3
 
 
 def test_map_file_rejects_partial_entries(tmp_path, kf3):

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from jordankit import (
@@ -8,6 +11,7 @@ from jordankit import (
     ModeUnsupported,
     NoncommutativeDomain,
     NotIdempotent,
+    carrier_of,
     check_theorem_conditions,
     find_idempotents,
     idempotent_class,
@@ -20,6 +24,7 @@ from jordankit import (
     verify_peirce_relations,
 )
 from jordankit.linalg import invert
+from jordankit.peirce import _component_parts_zero
 
 import oracles
 from conftest import diagonal_product_algebra, planted_peirce_violation
@@ -232,6 +237,41 @@ def test_peirce_project_idempotent_property(kq):
     assert peirce_project(dec, p1) == (p1, kq.zero(), kq.zero())
     assert peirce_project(dec, ph) == (kq.zero(), ph, kq.zero())
     assert peirce_project(dec, p0) == (kq.zero(), kq.zero(), p0)
+
+
+def assert_parts_are_eigenvectors(dec, x):
+    """peirce_project's parts sum to x, satisfy e o x_l = l x_l, and decide
+    _component_parts_zero for every set of components."""
+    a, f, e = dec.algebra, dec.algebra.field, dec.idempotent
+    parts = peirce_project(dec, x)
+    assert parts[0] + parts[1] + parts[2] == x
+    for lam, part in zip((f.one(), f.inv(f.from_int(2)), f.zero()), parts):
+        assert symmetrized_product(a, e, part) == part.scaled(lam)
+    keys = ("1", "half", "0")
+    for r in range(4):
+        for chosen in itertools.combinations(range(3), r):
+            expected = all(parts[i].is_zero() for i in chosen)
+            assert _component_parts_zero(dec, x, [keys[i] for i in chosen]) == expected
+
+
+def test_peirce_project_eigen_equations_on_kf3(kf3):
+    car = carrier_of(kf3)
+    for hit in find_idempotents(kf3, mode="exhaustive"):
+        if hit.classification != "nontrivial":
+            continue
+        dec = peirce_decompose(kf3, hit.element)
+        for i in range(car.size):
+            assert_parts_are_eigenvectors(dec, car.element_at(i))
+
+
+@pytest.mark.parametrize("idempotent", ["1,0,0,0", "1,1,0,0", "1/2,1/2,1/2,1/2"])
+def test_peirce_project_eigen_equations_on_kq(kq, idempotent):
+    dec = peirce_decompose(kq, kq.parse_element(idempotent))
+    rng = random.Random(5)
+    f = kq.field
+    for _ in range(30):
+        coords = [f.parse(f"{rng.randint(-6, 6)}/{rng.randint(1, 4)}") for _ in range(4)]
+        assert_parts_are_eigenvectors(dec, kq.element(coords))
 
 
 def test_peirce_project_mismatch(kq, m2q):

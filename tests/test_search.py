@@ -309,6 +309,13 @@ def test_budget_validation():
     SearchBudget(max_witnesses=0)  # allowed: empty-stream audits
 
 
+@pytest.mark.parametrize("name", ["max_nodes", "max_seconds", "max_witnesses"])
+def test_budget_rejects_nan(name):
+    # NaN fails every comparison, so a NaN limit would never trip
+    with pytest.raises(ValueError, match=name):
+        SearchBudget(**{name: float("nan")})
+
+
 def test_budget_witness_cap(kf3):
     search = enumerate_multiplicative_bijections(kf3, kf3, 2, SearchBudget(max_witnesses=5))
     tables = list(search)
