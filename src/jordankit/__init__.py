@@ -85,7 +85,7 @@ __version__ = "0.1.0"
 _LAZY = {
     **dict.fromkeys(("FiniteCarrier", "carrier_of"), "carrier"),
     **dict.fromkeys((
-        "DerivationTable", "FunctionTable", "MapTable", "Verdict",
+        "DerivationTable", "MapTable", "Verdict",
         "derivation_peirce_check", "inner_derivation", "is_additive", "is_bijective",
         "is_jordan_semitriple", "is_jordan_triple_derivation", "is_n_derivation",
         "is_n_multiplicative", "load_map_table", "map_table_from_dict",

@@ -91,8 +91,7 @@ class FiniteCarrier:
 
     def scalar_map(self, c) -> np.ndarray:
         """Index image of scalar multiplication by c."""
-        out = (self.coords * (int(c) % self.p)) % self.p
-        return (out @ self.powers).astype(np.int64)
+        return self.encode(self.coords * int(c))
 
 
 def carrier_of(a: Algebra) -> FiniteCarrier:

@@ -28,7 +28,7 @@ from .peirce import (
     peirce_decompose,
     verify_peirce_relations,
 )
-from .scalars import prime_field, rational_field
+from .scalars import _exact, prime_field, rational_field
 
 # names from maps and search, which import numpy: they are bound on the first
 # carrier command (or outside read), so check, example, idempotents and peirce
@@ -96,7 +96,7 @@ def _parse_field_spec(text: str):
     if text == "rational":
         return rational_field()
     if text.startswith("p=") and text[2:].isdecimal():
-        return prime_field(int(text[2:]))
+        return prime_field(_exact(int, text[2:]))
     raise JordankitError(f"bad field spec {text!r}: use 'rational' or 'p=<prime>'")
 
 

@@ -1,8 +1,9 @@
 """Map and derivation tables plus the predicates on them.
 
-Over a finite carrier, maps are total function tables (stored as index
-arrays); over the rationals only linear, matrix-backed maps are
-supported.
+A MapTable holds the total function table over a finite carrier (an
+index array), the matrix, or both, that it was given; over the rationals
+only matrices are supported. A DerivationTable is a MapTable of one
+algebra to itself.
 
 Every predicate is one identity over monomial trees, checked by one
 evaluator, and each identity is one rule at a product node x y: the
@@ -122,8 +123,8 @@ class Verdict:
         return self.ok
 
 
-class FunctionTable:
-    """A total map between algebra carriers, as a table, a matrix, or both."""
+class MapTable:
+    """A total map between algebra carriers, as the table, matrix or both it was given."""
 
     def __init__(self, domain: Algebra, codomain: Algebra, table=None, matrix=None):
         if table is None and matrix is None:
@@ -134,14 +135,11 @@ class FunctionTable:
             if not (isinstance(matrix, list) and all(isinstance(r, list) for r in matrix)):
                 raise FormatError(f"matrix must be a list of rows, got {matrix!r}")
             if len(matrix) != codomain.dim or any(len(r) != domain.dim for r in matrix):
-                raise FormatError(
-                    f"matrix must be {codomain.dim} x {domain.dim}"
-                )
+                raise FormatError(f"matrix must be {codomain.dim} x {domain.dim}")
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-        # the table the map was built from, and the full one index_table() caches
-        self._table = self._index = None if table is None else self._checked_table(table)
+        self._table = None if table is None else self._checked_table(table)
         if self._table is not None and matrix is not None:
             self._check_hint_consistency()
 
@@ -205,15 +203,14 @@ class FunctionTable:
         return carrier_of(self.codomain)
 
     def index_table(self) -> np.ndarray:
-        """The full index table, materializing it from the matrix if needed."""
-        if self._index is None:
-            self._index = self._checked_table(self._matrix_table())
-        return self._index
+        """The full index table: the given one, or the matrix's, built anew."""
+        if self._table is not None:
+            return self._table
+        return self._checked_table(self._matrix_table())
 
     def has_table(self) -> bool:
-        if self._table is not None:
-            return True
-        return self.matrix is not None and self.domain.field.characteristic != 0
+        """True over F_p, where a matrix yields its table; over Q a map is a matrix."""
+        return self.domain.field.characteristic != 0
 
     def _matrix_table(self) -> np.ndarray:
         """The index table of the matrix over F_p."""
@@ -245,7 +242,7 @@ class FunctionTable:
             yield dom.element_at(i), cod.element_at(int(table[i]))
 
     def __eq__(self, other):
-        if not isinstance(other, FunctionTable):
+        if not isinstance(other, MapTable):
             return NotImplemented
         if self.domain is not other.domain or self.codomain is not other.codomain:
             return False
@@ -258,19 +255,11 @@ class FunctionTable:
         return f"<{type(self).__name__} {kind} {self.domain.name or 'J'} -> {self.codomain.name or 'J'}>"
 
 
-class MapTable(FunctionTable):
-    """A map between two (possibly different) algebras."""
-
-
-class DerivationTable(FunctionTable):
-    """A self-map of one algebra, candidate derivation."""
+class DerivationTable(MapTable):
+    """A map of one algebra to itself, candidate derivation."""
 
     def __init__(self, algebra: Algebra, table=None, matrix=None):
         super().__init__(algebra, algebra, table=table, matrix=matrix)
-
-    @property
-    def algebra(self) -> Algebra:
-        return self.domain
 
     @classmethod
     def _construct(cls, domain: Algebra, codomain: Algebra, table=None, matrix=None):
@@ -279,14 +268,8 @@ class DerivationTable(FunctionTable):
         return cls(domain, table=table, matrix=matrix)
 
     @classmethod
-    def from_matrix(cls, algebra: Algebra, matrix):
-        return cls(algebra, matrix=matrix)
-
-    @classmethod
-    def from_map(cls, m: FunctionTable) -> "DerivationTable":
-        if m.domain is not m.codomain:
-            raise AlgebraMismatch("a derivation needs codomain == domain")
-        return cls(m.domain, table=m._table, matrix=m.matrix)
+    def from_map(cls, m: MapTable) -> "DerivationTable":
+        return cls._construct(m.domain, m.codomain, table=m._table, matrix=m.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +376,14 @@ def _grid_scan(dom: FiniteCarrier, n: int, trees, mismatch) -> Verdict:
     return _walk(dom, trees, [np.arange(dom.size, dtype=np.int64)] * n, mismatch)
 
 
-def _sum_identity(t: FunctionTable):
+def _sum_identity(t: MapTable):
     """The domain carrier and the additivity identity of t on x1 + x2."""
     dom, cod = t.domain_carrier(), t.codomain_carrier()
     rule = _homomorphism_rule(_table_op(cod.add))
     return dom, _identity(t.index_table().take, _table_op(dom.add), rule)
 
 
-def _additive_on_generators(t: FunctionTable) -> bool:
+def _additive_on_generators(t: MapTable) -> bool:
     """phi(x + g) = phi(x) + phi(g) for every carrier x and g in {0} and the basis.
 
     This decides additivity: generators of the additive group suffice, and
@@ -424,7 +407,7 @@ def _basis_tuples(trees, n: int, basis: list, add) -> list:
     return ranges
 
 
-def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
+def _basis_scan(t: MapTable, n: int, trees, derivation: bool) -> Verdict:
     """The first (tree, args) of basis tuples at which a linear map fails.
 
     The map runs on Elements. Trees go outermost, then the basis tuples of
@@ -437,7 +420,7 @@ def _basis_scan(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
     return Verdict(True) if hit is None else Verdict(False, hit)
 
 
-def _check(t: FunctionTable, n: int, trees, derivation: bool) -> Verdict:
+def _check(t: MapTable, n: int, trees, derivation: bool) -> Verdict:
     """The first (tree, args) at which t fails the identity of its kind.
 
     A matrix over the rationals runs on basis tuples. A table is decided
@@ -470,7 +453,7 @@ def _pair_witness(v: Verdict) -> Verdict:
     return v if v.ok else Verdict(False, v.witness[1])
 
 
-def _semitriple(t: FunctionTable, derivation: bool) -> Verdict:
+def _semitriple(t: MapTable, derivation: bool) -> Verdict:
     """The identity of the kind on (x1 x2) x1, for a commutative domain."""
     if noncommuting_pair(t.domain) is not None:
         raise NoncommutativeDomain("predicate is only defined over commutative algebras")
@@ -503,7 +486,7 @@ def _trees_for(n: int, tree_mode: str):
 # predicates
 
 
-def is_additive(t: FunctionTable) -> Verdict:
+def is_additive(t: MapTable) -> Verdict:
     """phi(x + y) = phi(x) + phi(y) on every carrier pair."""
     if not t.has_table() or _additive_on_generators(t):  # a matrix is linear, hence additive
         return Verdict(True)
@@ -511,7 +494,7 @@ def is_additive(t: FunctionTable) -> Verdict:
     return _pair_witness(_grid_scan(dom, 2, [_SUM], mismatch))
 
 
-def is_bijective(t: FunctionTable) -> bool:
+def is_bijective(t: MapTable) -> bool:
     """True iff the map is a bijection onto the codomain carrier."""
     if t.has_table():
         dom = t.domain_carrier()
@@ -525,12 +508,12 @@ def is_bijective(t: FunctionTable) -> bool:
     return invert(t.domain.field, t.matrix) is not None
 
 
-def is_n_multiplicative(t: FunctionTable, n: int, tree_mode: str = "canonical") -> Verdict:
+def is_n_multiplicative(t: MapTable, n: int, tree_mode: str = "canonical") -> Verdict:
     """phi(m(x_1..x_n)) = m(phi(x_1)..phi(x_n)) for the selected monomials."""
     return _check(t, n, _trees_for(n, tree_mode), False)
 
 
-def is_jordan_semitriple(t: FunctionTable) -> Verdict:
+def is_jordan_semitriple(t: MapTable) -> Verdict:
     """phi((xy)x) = (phi(x)phi(y))phi(x) on a commutative domain."""
     return _semitriple(t, False)
 
@@ -641,7 +624,6 @@ def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) ->
         raise AlgebraMismatch("derivation and decomposition algebras differ")
     if not delta.apply(dec.idempotent).is_zero():
         raise PreconditionViolated("reduced derivation must vanish at the idempotent")
-    keys = ("1", "half", "0")
     if delta.has_table():
         dom = delta.domain_carrier()
         table = delta.index_table()
@@ -652,9 +634,10 @@ def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) ->
                 bad = int(idxs[int(np.argmax(~ok))])
                 return Verdict(False, (key, dom.element_at(bad)))
         return Verdict(True)
-    for key in keys:
+    for key in dec.component_rows:
         for v in dec.component_basis(key):
-            if not _component_parts_zero(dec, delta.apply(v), [k for k in keys if k != key]):
+            others = [k for k in dec.component_rows if k != key]
+            if not _component_parts_zero(dec, delta.apply(v), others):
                 return Verdict(False, (key, v))
     return Verdict(True)
 
@@ -663,7 +646,7 @@ def derivation_peirce_check(delta: DerivationTable, dec: PeirceDecomposition) ->
 # map-table file format
 
 
-def map_table_to_dict(t: FunctionTable) -> dict:
+def map_table_to_dict(t: MapTable) -> dict:
     data = {
         "domain": algebra_to_dict(t.domain),
         "codomain": algebra_to_dict(t.codomain),
@@ -756,7 +739,7 @@ def load_map_table(path, domain=None, codomain=None) -> MapTable:
     )
 
 
-def save_map_table(t: FunctionTable, path) -> None:
+def save_map_table(t: MapTable, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(map_table_to_dict(t), fh, indent=2, sort_keys=True)
         fh.write("\n")

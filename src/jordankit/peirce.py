@@ -91,12 +91,9 @@ def find_idempotents(a: Algebra, mode: str = "heuristic"):
         candidates = (Element(a, b) for b in bits)
     else:
         raise ModeUnsupported(f"unknown idempotent search mode {mode!r}")
-    found = {}
-    for e in candidates:
-        if not e.is_zero() and multiply(a, e, e) == e:
-            found[e.coords] = e
-    hits = [IdempotentHit(e, idempotent_class(a, e)) for _, e in sorted(found.items())]
-    return hits
+    # both sweeps yield distinct coordinate tuples in lexicographic order
+    return [IdempotentHit(e, idempotent_class(a, e)) for e in candidates
+            if not e.is_zero() and multiply(a, e, e) == e]
 
 
 class PeirceDecomposition:

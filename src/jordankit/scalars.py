@@ -18,6 +18,17 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _INTEGER_RE = re.compile(r"^[+-]?\d+$")
 
 
+def _exact(kind, text: str):
+    """kind(text), int or Fraction, for text of digits; past the interpreter's
+    integer digit limit (sys.get_int_max_str_digits) a FormatError counts them."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        digits = sum(c.isdigit() for c in text)
+        msg = f"a number of {digits} digits exceeds the interpreter's integer digit limit"
+        raise FormatError(msg) from exc
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -122,7 +133,7 @@ class RationalField(Field):
         if not _RATIONAL_RE.match(text):
             raise FormatError(f"not a rational scalar: {text!r}")
         try:
-            return Fraction(text)
+            return _exact(Fraction, text)
         except ZeroDivisionError as exc:
             raise ZeroDenominator(f"zero denominator in rational scalar {text!r}") from exc
 
@@ -142,10 +153,11 @@ class PrimeField(Field):
     kind = "prime"
 
     def __init__(self, p: int):
-        if not isinstance(p, int) or p < 2 or not _is_prime(p):
-            raise NonPrimeModulus(f"modulus must be prime and >= 2, got {p!r}")
-        if p >= MAX_PRIME:
+        # the bound goes first: trial division of a prime near 2^61 takes minutes
+        if isinstance(p, int) and p >= MAX_PRIME:
             raise NonPrimeModulus(f"modulus too large: {p} >= 2^31")
+        if not isinstance(p, int) or not _is_prime(p):
+            raise NonPrimeModulus(f"modulus must be prime and >= 2, got {p!r}")
         self.p = p
         self.characteristic = p
 
@@ -182,7 +194,7 @@ class PrimeField(Field):
         text = text.strip()
         if not _INTEGER_RE.match(text):
             raise FormatError(f"not a prime-field scalar: {text!r}")
-        return int(text) % self.p
+        return _exact(int, text) % self.p
 
     def format(self, a) -> str:
         return str(a % self.p)

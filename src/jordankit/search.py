@@ -157,8 +157,6 @@ def _distinct(t: np.ndarray, s: np.ndarray, old: int):
     column has the same t and, row by row, the same s: in every row it
     only repeats a constraint.
     """
-    if t.size == old:
-        return t, s
     key = np.vstack([t, s])
     order = np.lexsort(key)  # stable: a run of equal columns starts at its first
     runs = key[:, order]
@@ -396,8 +394,6 @@ class _TableSearch:
 
     def _undo(self, mark: int):
         """Revert every install recorded on the trail after position mark."""
-        if len(self.trail) <= mark:
-            return
         old = self.trail[mark]
         del self.trail[mark:]
         xs, vs = self.pairs[0][:, old[0]:self.counts[0]]
@@ -541,16 +537,15 @@ class AuditReport:
     """Outcome of auditing an enumeration stream for additivity."""
 
     witnesses_found: int
-    all_additive: bool
     nonadditive_witnesses: list
     exhausted: bool
     hypothesis_record: object = None
     budget_exceeded: bool = False
     tables: list = field(default_factory=list)  # every audited table, in stream order
 
-    def __post_init__(self):
-        if self.all_additive != (not self.nonadditive_witnesses):
-            raise ValueError("all_additive must mirror the nonadditive witness list")
+    @property
+    def all_additive(self) -> bool:
+        return not self.nonadditive_witnesses
 
 
 def additivity_audit(stream, hypotheses: PeirceDecomposition | None = None) -> AuditReport:
@@ -572,7 +567,6 @@ def additivity_audit(stream, hypotheses: PeirceDecomposition | None = None) -> A
             nonadditive.append(table)
     return AuditReport(
         witnesses_found=len(tables),
-        all_additive=not nonadditive,
         nonadditive_witnesses=nonadditive,
         exhausted=bool(getattr(stream, "exhausted", False)),
         hypothesis_record=hypothesis_record,

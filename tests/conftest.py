@@ -12,6 +12,7 @@ settings.load_profile("derandomized")
 
 from jordankit import (
     Algebra,
+    algebra_from_dict,
     jordanify,
     matrix_units_algebra,
     prime_field,
@@ -76,6 +77,30 @@ def diagonal_product_algebra(field, dim, name=""):
 @pytest.fixture(scope="session")
 def f3xf3(f3):
     return diagonal_product_algebra(f3, 2, name="f3xf3")
+
+
+# the interpreter's limit on the digits of an int parsed from text, 0 if none
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+# E = span(e, h, z) over F3 with e e = e and e h = h e = 2 h = h / 2, all
+# other products zero. It is Jordan, and at e = (1,0,0) its Peirce
+# components are J1 = <e>, Jhalf = <h> and J0 = <z>: h and z annihilate J0,
+# so conditions (i), (ii) and (iii) all fail.
+EHZ_F3 = {
+    "field": {"type": "prime", "p": 3},
+    "dim": 3,
+    "basis": ["e", "h", "z"],
+    "products": [
+        {"i": 0, "j": 0, "k": 0, "c": "1"},
+        {"i": 0, "j": 1, "k": 1, "c": "2"},
+        {"i": 1, "j": 0, "k": 1, "c": "2"},
+    ],
+}
+
+
+@pytest.fixture(scope="session")
+def ehz():
+    return algebra_from_dict(EHZ_F3)
 
 
 def planted_peirce_violation(field):

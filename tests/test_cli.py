@@ -11,6 +11,8 @@ import jordankit
 from jordankit import cli, load_algebra
 from jordankit.cli import run
 
+from conftest import EHZ_F3, INT_DIGIT_LIMIT
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -433,6 +435,98 @@ def test_algebra_file_with_bool_index_exits_2(tmp_path, dim, entry):
 def test_non_numeric_field_spec_exits_2(tmp_path):
     report = run(["example", "m2", "--field", "p=abc", "--out", str(tmp_path / "x.alg")])
     assert report.exit_code == 2
+
+
+def one_error_line(capsys) -> str:
+    """The one line of stderr, which must be an error: line; stdout is empty."""
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+def one_dim_algebra(tmp_path, field: dict, c: str) -> str:
+    """The file of span(b0) over the field with b0 b0 = c b0."""
+    path = tmp_path / "one_dim.alg"
+    path.write_text(json.dumps({
+        "field": field, "dim": 1, "basis": ["b0"],
+        "products": [{"i": 0, "j": 0, "k": 0, "c": c}],
+    }))
+    return str(path)
+
+
+# 2^61 - 1, a prime far past the 2^31 bound
+MERSENNE_61 = 2305843009213693951
+
+
+def test_huge_prime_modulus_exits_2_at_once(tmp_path, capsys):
+    path = one_dim_algebra(tmp_path, {"type": "prime", "p": MERSENNE_61}, "1")
+    assert run(["check", path]).exit_code == 2
+    assert "modulus too large" in one_error_line(capsys)
+    out = tmp_path / "x.alg"
+    assert run(["example", "m2", "--field", f"p={MERSENNE_61}", "--out", str(out)]).exit_code == 2
+    assert "modulus too large" in one_error_line(capsys)
+    assert not out.exists()
+
+
+LONG = "1" * (INT_DIGIT_LIMIT + 700)
+
+
+@pytest.mark.skipif(INT_DIGIT_LIMIT == 0, reason="the interpreter has no integer digit limit")
+def test_numbers_past_the_digit_limit_exit_2(files, tmp_path, capsys):
+    for field, c in (
+        ({"type": "prime", "p": 3}, LONG),
+        ({"type": "rational"}, LONG),
+        ({"type": "rational"}, "1/" + LONG),
+    ):
+        assert run(["check", one_dim_algebra(tmp_path, field, c)]).exit_code == 2
+        line = one_error_line(capsys)
+        assert f"a number of {sum(ch.isdigit() for ch in c)} digits" in line
+        assert LONG not in line
+    assert run(["peirce", files["k_f3"], "--idempotent", LONG]).exit_code == 2
+    assert f"a number of {len(LONG)} digits" in one_error_line(capsys)
+    report = run(["example", "m2", "--field", f"p={LONG}", "--out", str(tmp_path / "x.alg")])
+    assert report.exit_code == 2
+    assert f"a number of {len(LONG)} digits" in one_error_line(capsys)
+
+
+def test_nonadditive_audit_exits_1(tmp_path, capsys):
+    path = tmp_path / "ehz.alg"
+    path.write_text(json.dumps(EHZ_F3))
+    argv = ["audit", str(path), "--n", "2", "--mode", "maps", "--idempotent", "1,0,0",
+            "--budget-witnesses", "50"]
+    assert run(argv).exit_code == 1
+    assert output_of(capsys) == "\n".join([
+        "command: audit",
+        "algebra: (unnamed) dim=3 field=F3",
+        "idempotent: 1,0,0",
+        "conditions: i=fail ii=fail iii=fail",
+        "mode: maps n=2",
+        "witnesses: 50",
+        "exhausted: false",
+        "verdict all_additive: fail",
+        "result: FAIL",
+    ]) + "\n"
+
+
+def test_reduce_derivation_of_the_identity_at_n4_over_f3(files, tmp_path, capsys):
+    # in characteristic 3 the identity is a 4-derivation (4 = 1), and
+    # d(e) = e lies in J1, not Jhalf
+    map_path = tmp_path / "id.map"
+    identity = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+    map_path.write_text(json.dumps({"matrix": identity}))
+    argv = ["reduce-derivation", files["k_f3"], str(map_path), "--idempotent", "1,0,0,0", "--n", "4"]
+    assert run(argv).exit_code == 1
+    assert output_of(capsys) == "\n".join([
+        "command: reduce-derivation",
+        "algebra: jordanified-m2 dim=4 field=F3",
+        "idempotent: 1,0,0,0",
+        "verdict 4-derivation (canonical): pass",
+        "d(e): 1,0,0,0",
+        "verdict d(e) in Jhalf: fail witness=1,0,0,0",
+        "result: FAIL",
+    ]) + "\n"
 
 
 @pytest.mark.parametrize(

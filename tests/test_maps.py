@@ -879,6 +879,12 @@ def test_table_over_rationals_rejected(kq):
         MapTable(kq, kq, table=[0])
 
 
+def test_derivation_from_a_map_between_two_algebras_rejected(kf3, f3xf3):
+    m = MapTable(kf3, f3xf3, table=np.zeros(81, dtype=np.int64))
+    with pytest.raises(AlgebraMismatch, match="a derivation needs codomain == domain"):
+        DerivationTable.from_map(m)
+
+
 def test_from_entries_requires_totality(kf3):
     pairs = [(x, x) for x, _ in list(MapTable.identity(kf3).entries())[:-1]]
     entries = [{"in": x.text(), "out": y.text()} for x, y in pairs]

@@ -373,3 +373,27 @@ def test_conditions_match_bruteforce_on_failure(f3xf3):
     assert cond.cond_i is oracle["cond_i"] is False
     assert cond.cond_ii is oracle["cond_ii"] is True
     assert cond.cond_iii is oracle["cond_iii"] is True
+
+
+def test_conditions_fail_through_the_kernel_branch(ehz):
+    # J_1/2 != 0, so each condition is decided by a kernel, not by an empty quantifier
+    dec = peirce_decompose(ehz, ehz.element([1, 0, 0]))
+    assert dec.dims == (1, 1, 1)
+    cond = check_theorem_conditions(dec)
+    oracle = oracles.conditions_bruteforce(dec)
+    assert cond.cond_i is oracle["cond_i"] is False
+    assert cond.cond_ii is oracle["cond_ii"] is False
+    assert cond.cond_iii is oracle["cond_iii"] is False
+    assert cond.witnesses == {
+        "i@J0": ehz.element([0, 0, 1]),
+        "ii": ehz.element([0, 0, 1]),
+        "iii": ehz.element([0, 1, 0]),
+    }
+    keys = ("1", "half", "0")
+    for key, quantified, component in (
+        ("i@J0", dec.basis_half, "0"), ("ii", dec.basis0, "0"), ("iii", dec.basis0, "half"),
+    ):
+        w = cond.witnesses[key]
+        assert not w.is_zero()
+        assert _component_parts_zero(dec, w, [k for k in keys if k != component])
+        assert all(symmetrized_product(ehz, t, w).is_zero() for t in quantified)

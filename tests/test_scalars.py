@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from jordankit import (
     prime_field,
     rational_field,
 )
+
+from conftest import INT_DIGIT_LIMIT
 
 
 def test_field_make_rational():
@@ -29,6 +32,33 @@ def test_field_make_prime():
 def test_field_make_rejects_bad_modulus(p):
     with pytest.raises(NonPrimeModulus):
         prime_field(p)
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2**31 + 11, 2**31])
+def test_large_modulus_is_refused_before_the_primality_test(p):
+    # trial division of 2^61 - 1, a prime, takes minutes
+    start = time.perf_counter()
+    with pytest.raises(NonPrimeModulus, match="modulus too large"):
+        prime_field(p)
+    assert time.perf_counter() - start < 0.5
+
+
+needs_digit_limit = pytest.mark.skipif(
+    INT_DIGIT_LIMIT == 0, reason="the interpreter has no integer digit limit"
+)
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("field, text", [
+    (prime_field(3), "1" * (INT_DIGIT_LIMIT + 700)),
+    (rational_field(), "1" * (INT_DIGIT_LIMIT + 700)),
+    (rational_field(), "1/" + "1" * (INT_DIGIT_LIMIT + 700)),
+])
+def test_scalar_past_the_digit_limit_is_a_format_error(field, text):
+    digits = sum(c.isdigit() for c in text)
+    with pytest.raises(FormatError, match=f"a number of {digits} digits") as exc:
+        field.parse(text)
+    assert "1" * 100 not in str(exc.value)  # the message does not echo the digits
 
 
 def test_field_from_spec_roundtrip():

@@ -384,6 +384,23 @@ def test_audit_of_a_plain_list_is_not_exhausted(kf3):
     assert report.tables == tables
 
 
+def test_audit_finds_nonadditive_bijections(ehz):
+    # E fails conditions (i)-(iii), and its 2-multiplicative bijections need
+    # not be additive; 50 of its 6144 are enough
+    dec = peirce_decompose(ehz, ehz.element([1, 0, 0]))
+    search = enumerate_multiplicative_bijections(ehz, ehz, 2, SearchBudget(max_witnesses=50))
+    report = additivity_audit(search, dec)
+    assert report.witnesses_found == 50 and not report.exhausted
+    assert not report.all_additive and report.nonadditive_witnesses
+    for t in report.nonadditive_witnesses:
+        assert is_n_multiplicative(t, 2) and not is_additive(t)
+    car = carrier_of(ehz)
+    swap = np.arange(car.size)
+    i, j = car.index_of(ehz.element([2, 2, 1])), car.index_of(ehz.element([2, 2, 2]))
+    swap[i], swap[j] = j, i
+    assert any(np.array_equal(t.index_table(), swap) for t in report.nonadditive_witnesses)
+
+
 def spin3_algebra(p):
     """The 3-dim Jordan subalgebra span(e11, e10+e01, e00) of the
     symmetrized matrix algebra, as its own structure-constant table."""
