@@ -32,7 +32,8 @@ from .errors import (
 from .linalg import mat_vec, solve_unique
 from .scalars import Field, field_from_spec
 
-# The most elements (p**dim) that any exhaustive enumeration walks.
+# The most elements (p**dim) that any exhaustive enumeration walks, and the
+# most structure constants (dim**3, so dim <= 100) that an algebra holds.
 ENUMERATION_CAP = 10**6
 
 
@@ -40,6 +41,12 @@ def check_enumerable(p: int, d: int) -> None:
     """Raise EnumerationTooLarge when a carrier of p**d elements exceeds ENUMERATION_CAP."""
     if p**d > ENUMERATION_CAP:
         raise EnumerationTooLarge(f"carrier size {p}^{d} exceeds cap {ENUMERATION_CAP}")
+
+
+def _check_table_size(d: int) -> None:
+    """Raise EnumerationTooLarge when a d x d x d table exceeds ENUMERATION_CAP."""
+    if d**3 > ENUMERATION_CAP:
+        raise EnumerationTooLarge(f"structure constants {d}^3 exceed cap {ENUMERATION_CAP}")
 
 
 class Algebra:
@@ -54,6 +61,7 @@ class Algebra:
         d = len(basis_names)
         if d == 0:
             raise FormatError("algebra dimension must be positive")
+        _check_table_size(d)
         if len(set(basis_names)) != d:
             raise FormatError("basis names must be distinct")
         if len(table) != d or any(len(row) != d for row in table) or any(
@@ -551,6 +559,7 @@ def algebra_from_dict(data: dict) -> Algebra:
     for b in basis:
         if not isinstance(b, str):
             raise FormatError(f"basis name {b!r} must be a string")
+    _check_table_size(dim)
     name = data.get("name", "")
     if not isinstance(name, str):
         raise FormatError(f"name must be a string, got {name!r}")
@@ -578,8 +587,13 @@ def algebra_from_dict(data: dict) -> Algebra:
 
 
 def save_algebra(a: Algebra, path) -> None:
+    write_json(algebra_to_dict(a), path)
+
+
+def write_json(data, path) -> None:
+    """Write data as sorted, 2-space indented JSON with a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(algebra_to_dict(a), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

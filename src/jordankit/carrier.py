@@ -67,14 +67,9 @@ class FiniteCarrier:
         """N x N table of product indices."""
         if self._mul is None:
             self._require_pair_tables()
-            p, d = self.p, self.dim
-            t = np.empty((d, d, d), dtype=np.int64)
-            for i in range(d):
-                for j in range(d):
-                    for k in range(d):
-                        t[i, j, k] = int(self.algebra.table[i][j][k])
-            part = np.tensordot(self.coords, t, axes=([1], [1])) % p  # [y, i, k]
-            prod = np.einsum("xi,yik->xyk", self.coords, part) % p
+            t = np.array(self.algebra.table, dtype=np.int64)
+            part = np.tensordot(self.coords, t, axes=([1], [1])) % self.p  # [y, i, k]
+            prod = np.einsum("xi,yik->xyk", self.coords, part) % self.p
             self._mul = (prod @ self.powers).astype(np.int64)
         return self._mul
 

@@ -12,6 +12,7 @@ import importlib
 import sys
 from dataclasses import dataclass, field as dataclass_field
 
+from . import _LAZY
 from .algebra import (
     identity_report,
     jordanify,
@@ -30,27 +31,21 @@ from .peirce import (
 )
 from .scalars import _exact, prime_field, rational_field
 
-# names from maps and search, which import numpy: they are bound on the first
-# carrier command (or outside read), so check, example, idempotents and peirce
-# start without numpy
+# the names of jordankit._LAZY (carrier, maps and search, which import numpy)
+# are bound on the first carrier command or outside read, so check, example,
+# idempotents and peirce start without numpy
 _NUMPY_FREE = {"check", "example", "idempotents", "peirce"}
-_CARRIER_NAMES = (
-    "DerivationTable", "derivation_peirce_check", "inner_derivation", "is_additive",
-    "is_bijective", "is_n_derivation", "is_n_multiplicative", "load_map_table",
-    "reduce_derivation", "SearchBudget", "additivity_audit",
-    "enumerate_multiplicative_bijections", "enumerate_n_derivations",
-)
 
 
 def _bind_carrier_names():
-    """Bind ``_CARRIER_NAMES`` from the package, keeping any already set (a patch)."""
+    """Bind the names of ``jordankit._LAZY``, keeping any already set (a patch)."""
     package = importlib.import_module(__package__)
-    for name in _CARRIER_NAMES:
+    for name in _LAZY:
         globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
-    if name in _CARRIER_NAMES:
+    if name in _LAZY:
         _bind_carrier_names()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,6 +27,10 @@ def mat_copy(m: list[list]) -> list[list]:
     return [row[:] for row in m]
 
 
+def mat_add(f: Field, a: list[list], b: list[list]) -> list[list]:
+    return [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_sub(f: Field, a: list[list], b: list[list]) -> list[list]:
     return [[f.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -107,8 +111,6 @@ def kernel_basis(f: Field, m: list[list]) -> list[list]:
         for r, pc in enumerate(pivots):
             v[pc] = f.neg(red[r][fc])
         vectors.append(v)
-    if not vectors:
-        return []
     canon, _ = rref(f, vectors)
     return canon[: len(vectors)]
 

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import os
@@ -78,6 +77,7 @@ from .algebra import (
     multiply,
     noncommuting_pair,
     read_json,
+    write_json,
 )
 from .carrier import FiniteCarrier, carrier_of
 from .errors import (
@@ -93,7 +93,7 @@ from .errors import (
     PreconditionViolated,
     TorsionViolation,
 )
-from .linalg import identity_matrix, invert, mat_mul, mat_sub, mat_vec, zeros
+from .linalg import identity_matrix, invert, mat_add, mat_mul, mat_sub, mat_vec, zeros
 from .peirce import PeirceDecomposition, _component_parts_zero, peirce_decompose
 from .scalars import is_torsion_free
 
@@ -240,15 +240,6 @@ class MapTable:
         table = self.index_table()
         for i in range(dom.size):
             yield dom.element_at(i), cod.element_at(int(table[i]))
-
-    def __eq__(self, other):
-        if not isinstance(other, MapTable):
-            return NotImplemented
-        if self.domain is not other.domain or self.codomain is not other.codomain:
-            return False
-        if self.has_table() and other.has_table():
-            return np.array_equal(self.index_table(), other.index_table())
-        return self.matrix == other.matrix
 
     def __repr__(self):
         kind = "table" if self._table is not None else "matrix"
@@ -549,15 +540,7 @@ def inner_derivation(a: Algebra, y: Element, z: Element) -> DerivationTable:
     def bracket(p, q):
         return mat_sub(f, mat_mul(f, p, q), mat_mul(f, q, p))
 
-    m = bracket(ly, lz)
-    m = [
-        [f.add(u, v) for u, v in zip(r1, r2)]
-        for r1, r2 in zip(m, bracket(ly, rz))
-    ]
-    m = [
-        [f.add(u, v) for u, v in zip(r1, r2)]
-        for r1, r2 in zip(m, bracket(ry, rz))
-    ]
+    m = mat_add(f, mat_add(f, bracket(ly, lz), bracket(ly, rz)), bracket(ry, rz))
     return DerivationTable(a, matrix=m)
 
 
@@ -740,6 +723,4 @@ def load_map_table(path, domain=None, codomain=None) -> MapTable:
 
 
 def save_map_table(t: MapTable, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(map_table_to_dict(t), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(map_table_to_dict(t), path)

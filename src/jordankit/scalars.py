@@ -155,7 +155,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         # the bound goes first: trial division of a prime near 2^61 takes minutes
         if isinstance(p, int) and p >= MAX_PRIME:
-            raise NonPrimeModulus(f"modulus too large: {p} >= 2^31")
+            raise NonPrimeModulus(f"modulus too large: {len(str(p))} digits >= 2^31")
         if not isinstance(p, int) or not _is_prime(p):
             raise NonPrimeModulus(f"modulus must be prime and >= 2, got {p!r}")
         self.p = p

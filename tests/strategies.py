@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from jordankit import Algebra, prime_field
+from jordankit import Algebra, jordanify, prime_field
 
 
 @st.composite
@@ -21,3 +21,16 @@ def f3_algebras(draw, max_dim=3, commutative=None, p=3):
         upper = np.arange(dim)[:, None, None] <= np.arange(dim)[None, :, None]
         c = np.where(upper, c, c.transpose(1, 0, 2))
     return Algebra(prime_field(p), tuple(f"b{i}" for i in range(dim)), c.tolist())
+
+
+def t2_algebra(p):
+    """T2 over F_p: the upper-triangular 2x2 matrices (basis e11, e12, e22)
+    under the symmetrized product (xy + yx)/2, a Jordan algebra."""
+    f = prime_field(p)
+    zero, one = f.zero(), f.one()
+    table = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    table[0][0][0] = one  # e11 e11 = e11
+    table[0][1][1] = one  # e11 e12 = e12
+    table[1][2][1] = one  # e12 e22 = e12
+    table[2][2][2] = one  # e22 e22 = e22
+    return jordanify(Algebra(f, ("e11", "e12", "e22"), table, name=f"t2_f{p}"))

@@ -11,6 +11,7 @@ from jordankit import (
     AlgebraMismatch,
     ArityMismatch,
     CharacteristicUnsupported,
+    EnumerationTooLarge,
     FormatError,
     Leaf,
     Node,
@@ -412,6 +413,17 @@ def test_algebra_dict_rejects_out_of_range(m2q):
 def test_algebra_dict_rejects_dim_zero(q):
     with pytest.raises(FormatError):
         algebra_from_dict({"field": {"type": "rational"}, "dim": 0, "basis": [], "products": []})
+
+
+def test_structure_constants_are_capped_at_dim_100(f3):
+    # dim^3 <= ENUMERATION_CAP, so a small file cannot make a huge dense table
+    names = [f"b{i}" for i in range(101)]
+    data = {"field": {"type": "prime", "p": 3}, "dim": 100, "basis": names[:100], "products": []}
+    assert algebra_from_dict(data).dim == 100
+    with pytest.raises(EnumerationTooLarge):
+        algebra_from_dict({**data, "dim": 101, "basis": names})
+    with pytest.raises(EnumerationTooLarge):  # refused before the table is read
+        Algebra(f3, names, [])
 
 
 def test_algebra_rejects_duplicate_basis_names(q):

@@ -470,6 +470,28 @@ def test_huge_prime_modulus_exits_2_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_long_modulus_is_counted_not_echoed(tmp_path, capsys):
+    # 4000 digits are under the digit limit, so the file and the spec parse
+    digits = "1" * 4000
+    path = one_dim_algebra(tmp_path, {"type": "prime", "p": int(digits)}, "1")
+    out = str(tmp_path / "x.alg")
+    for argv in (["check", path], ["example", "m2", "--field", f"p={digits}", "--out", out]):
+        assert run(argv).exit_code == 2
+        line = one_error_line(capsys)
+        assert "modulus too large: 4000 digits" in line
+        assert len(line.encode()) < 200 and digits not in line
+
+
+def test_structure_constants_past_the_cap_exit_2(tmp_path, capsys):
+    path = tmp_path / "dim101.alg"
+    path.write_text(json.dumps({
+        "field": {"type": "prime", "p": 3}, "dim": 101,
+        "basis": [f"b{i}" for i in range(101)], "products": [],
+    }))
+    assert run(["check", str(path)]).exit_code == 2
+    assert "101^3" in one_error_line(capsys)
+
+
 LONG = "1" * (INT_DIGIT_LIMIT + 700)
 
 

@@ -101,3 +101,9 @@ def test_solve_unique_underdetermined():
     f = rational_field()
     m = [[Fraction(1), Fraction(1)]]
     assert solve_unique(f, m, [Fraction(1)]) is None
+
+
+def test_empty_matrix():
+    f = rational_field()
+    assert kernel_basis(f, []) == []
+    assert solve_unique(f, [], []) is None

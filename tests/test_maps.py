@@ -119,6 +119,12 @@ def test_is_bijective_linear_over_q(kq):
     assert not is_bijective(MapTable.zero(kq))
 
 
+def test_matrix_map_to_a_smaller_dimension_is_not_bijective(kq, q):
+    qxq = diagonal_product_algebra(q, 2)
+    projection = [[q.from_int(int(i == j)) for j in range(4)] for i in range(2)]
+    assert not is_bijective(MapTable(kq, qxq, matrix=projection))
+
+
 # ---------------------------------------------------------------------------
 # is_n_multiplicative
 

@@ -28,7 +28,7 @@ def test_field_make_prime():
     assert f.characteristic == 3
 
 
-@pytest.mark.parametrize("p", [4, 1, 0, -7, 2**31 + 11])
+@pytest.mark.parametrize("p", [4, 1, 0, -7, 2**31 + 11, 9])
 def test_field_make_rejects_bad_modulus(p):
     with pytest.raises(NonPrimeModulus):
         prime_field(p)

@@ -10,10 +10,12 @@ from jordankit import (
     MapTable,
     SearchBudget,
     additivity_audit,
+    canonical_tree,
     carrier_of,
     check_theorem_conditions,
     enumerate_multiplicative_bijections,
     enumerate_n_derivations,
+    find_idempotents,
     inner_derivation,
     is_additive,
     is_n_derivation,
@@ -25,6 +27,7 @@ from jordankit.linalg import rref
 
 import oracles
 from conftest import diagonal_product_algebra
+from strategies import t2_algebra
 
 
 def table_set(stream):
@@ -462,6 +465,42 @@ def test_theorem_instances_spin_factor_degree_3(f3):
     # and here the degree-3 witnesses are exactly the degree-2 ones
     n2 = set(table_set(enumerate_multiplicative_bijections(a, a, 2)))
     assert n2 == {tuple(t.index_table().tolist()) for t in maps3}
+
+
+@pytest.mark.parametrize(
+    "make,dims,conditions,n_maps,n_nonadditive_maps,n_derivs",
+    [
+        (lambda: t2_algebra(3), (1, 1, 1), True, 12, 0, 9),
+        (lambda: t2_algebra(5), (1, 1, 1), True, 40, 0, 25),
+        (lambda: diagonal_product_algebra(prime_field(5), 2), (1, 0, 1), False, 8, 6, 1),
+    ],
+    ids=["t2-f3", "t2-f5", "f5xf5"],
+)
+def test_theorem_as_oracle_at_n2(make, dims, conditions, n_maps, n_nonadditive_maps, n_derivs):
+    # Theorems 2.1 and 3.1 as an oracle: where conditions (i)-(iii) hold at the
+    # first nontrivial idempotent of the 0/1 sweep, an exhausted search finds
+    # only additive maps. F5 x F5 fails them (Jhalf = 0) and has non-additive
+    # bijections (x -> x^3 on a factor), so the oracle discriminates.
+    a = make()
+    hits = find_idempotents(a, "heuristic")
+    dec = peirce_decompose(a, next(h.element for h in hits if h.classification == "nontrivial"))
+    assert dec.dims == dims
+    car = carrier_of(a)
+    elems = [car.element_at(i) for i in range(car.size)]
+    for derivation, search, count, n_nonadditive in (
+        (False, enumerate_multiplicative_bijections(a, a, 2), n_maps, n_nonadditive_maps),
+        (True, enumerate_n_derivations(a, 2), n_derivs, 0),
+    ):
+        report = additivity_audit(search, dec)
+        assert report.hypothesis_record.all_ok == conditions
+        assert report.exhausted and report.witnesses_found == count
+        assert not (report.hypothesis_record.all_ok and report.exhausted) or report.all_additive
+        assert len(report.nonadditive_witnesses) == n_nonadditive
+        # each non-additive witness re-checks on the Element path
+        for t in report.nonadditive_witnesses:
+            assert oracles.first_identity_failure(t, 2, [canonical_tree(2)], derivation) is None
+            pairs = itertools.product(elems, repeat=2)
+            assert any(t.apply(x + y) != t.apply(x) + t.apply(y) for x, y in pairs)
 
 
 def test_bijection_search_n3_micro(f3xf3):
