@@ -28,6 +28,7 @@ from .errors import (
     CharacteristicUnsupported,
     EnumerationTooLarge,
     FormatError,
+    shown,
 )
 from .linalg import mat_vec, solve_unique
 from .scalars import Field, field_from_spec
@@ -552,23 +553,23 @@ def algebra_from_dict(data: dict) -> Algebra:
     f = field_from_spec(data["field"])
     dim = data["dim"]
     if not _is_int(dim) or dim < 1:
-        raise FormatError(f"dim must be a positive integer, got {dim!r}")
+        raise FormatError(f"dim must be a positive integer, got {shown(dim)}")
     basis = data["basis"]
     if not isinstance(basis, list) or len(basis) != dim:
-        raise FormatError(f"basis must be a list of dim={dim} names, got {basis!r}")
+        raise FormatError(f"basis must be a list of dim={shown(dim)} names, got {shown(basis)}")
     for b in basis:
         if not isinstance(b, str):
-            raise FormatError(f"basis name {b!r} must be a string")
+            raise FormatError(f"basis name {shown(b)} must be a string")
     _check_table_size(dim)
     name = data.get("name", "")
     if not isinstance(name, str):
-        raise FormatError(f"name must be a string, got {name!r}")
+        raise FormatError(f"name must be a string, got {shown(name)}")
     try:
         name.encode("utf-8")  # reports echo the name, so it must print
     except UnicodeEncodeError as exc:
-        raise FormatError(f"name {name!r} is not valid UTF-8 text") from exc
+        raise FormatError(f"name {shown(name)} is not valid UTF-8 text") from exc
     if not isinstance(data["products"], list):
-        raise FormatError(f"products must be a list, got {data['products']!r}")
+        raise FormatError(f"products must be a list, got {shown(data['products'])}")
     zero = f.zero()
     table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
     seen = set()
@@ -576,9 +577,9 @@ def algebra_from_dict(data: dict) -> Algebra:
         try:
             i, j, k, c = entry["i"], entry["j"], entry["k"], entry["c"]
         except (TypeError, KeyError) as exc:
-            raise FormatError(f"bad product entry {entry!r}") from exc
+            raise FormatError(f"bad product entry {shown(entry)}") from exc
         if not all(_is_int(v) and 0 <= v < dim for v in (i, j, k)):
-            raise FormatError(f"product indices out of range in {entry!r}")
+            raise FormatError(f"product indices out of range in {shown(entry)}")
         if (i, j, k) in seen:
             raise FormatError(f"duplicate product entry for ({i},{j},{k})")
         seen.add((i, j, k))

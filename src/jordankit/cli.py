@@ -20,7 +20,7 @@ from .algebra import (
     matrix_units_algebra,
     save_algebra,
 )
-from .errors import JordankitError
+from .errors import JordankitError, shown
 from .peirce import (
     _component_parts_zero,
     check_theorem_conditions,
@@ -92,7 +92,7 @@ def _parse_field_spec(text: str):
         return rational_field()
     if text.startswith("p=") and text[2:].isdecimal():
         return prime_field(_exact(int, text[2:]))
-    raise JordankitError(f"bad field spec {text!r}: use 'rational' or 'p=<prime>'")
+    raise JordankitError(f"bad field spec {shown(text)}: use 'rational' or 'p=<prime>'")
 
 
 # ---------------------------------------------------------------------------

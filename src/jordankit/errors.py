@@ -79,3 +79,9 @@ class ZeroDenominator(FormatError, ZeroDivisionError):
     Also a ZeroDivisionError, so callers that catch the arithmetic error
     keep working.
     """
+
+
+def shown(value) -> str:
+    """repr(value) for an error line: past 50 characters, those and its length."""
+    text = repr(value)
+    return text if len(text) <= 50 else f"{text[:50]}... ({len(text)} characters)"

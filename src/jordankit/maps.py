@@ -92,6 +92,7 @@ from .errors import (
     NotDerivation,
     PreconditionViolated,
     TorsionViolation,
+    shown,
 )
 from .linalg import identity_matrix, invert, mat_add, mat_mul, mat_sub, mat_vec, zeros
 from .peirce import PeirceDecomposition, _component_parts_zero, peirce_decompose
@@ -133,7 +134,7 @@ class MapTable:
             if domain.field != codomain.field:
                 raise AlgebraMismatch("matrix-backed maps need a common field")
             if not (isinstance(matrix, list) and all(isinstance(r, list) for r in matrix)):
-                raise FormatError(f"matrix must be a list of rows, got {matrix!r}")
+                raise FormatError(f"matrix must be a list of rows, got {shown(matrix)}")
             if len(matrix) != codomain.dim or any(len(r) != domain.dim for r in matrix):
                 raise FormatError(f"matrix must be {codomain.dim} x {domain.dim}")
         self.domain = domain
@@ -645,14 +646,14 @@ def map_table_to_dict(t: MapTable) -> dict:
 def _entry_pairs(entries, dom: Algebra, cod: Algebra):
     """The (x, y) element pairs of a map file's [{"in": x, "out": y}, ...]."""
     if not isinstance(entries, list):
-        raise FormatError(f"map 'entries' must be a list, got {entries!r}")
+        raise FormatError(f"map 'entries' must be a list, got {shown(entries)}")
     for entry in entries:
         try:
             x_text, y_text = entry["in"], entry["out"]
         except (TypeError, KeyError) as exc:
-            raise FormatError(f"map entry {entry!r} needs 'in' and 'out'") from exc
+            raise FormatError(f"map entry {shown(entry)} needs 'in' and 'out'") from exc
         if not (isinstance(x_text, str) and isinstance(y_text, str)):
-            raise FormatError(f"map entry {entry!r}: 'in' and 'out' must be strings")
+            raise FormatError(f"map entry {shown(entry)}: 'in' and 'out' must be strings")
         yield dom.parse_element(x_text), cod.parse_element(y_text)
 
 
@@ -690,7 +691,7 @@ def map_table_from_dict(
             try:
                 return load_algebra(path)
             except OSError as exc:
-                raise FormatError(f"map file {key} {ref!r} cannot be read: {exc}") from exc
+                raise FormatError(f"{key} {shown(ref)} cannot be read: {exc.strerror}") from exc
         return algebra_from_dict(ref)
 
     dom = resolve("domain", domain)
@@ -700,7 +701,7 @@ def map_table_from_dict(
     if "matrix" in data:
         rows = data["matrix"]
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise FormatError(f"map 'matrix' must be a list of rows, got {rows!r}")
+            raise FormatError(f"map 'matrix' must be a list of rows, got {shown(rows)}")
         matrix = [[dom.field.parse(str(c)) for c in row] for row in rows]
     table = None
     if "entries" in data:

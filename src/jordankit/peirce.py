@@ -74,7 +74,8 @@ def find_idempotents(a: Algebra, mode: str = "heuristic"):
     """Nonzero solutions of e*e = e, lexicographically sorted by coordinates.
 
     Exhaustive mode scans the whole finite carrier; heuristic mode tests
-    every 0/1 coordinate vector.
+    the 0/1 coordinate vectors only, so it misses an idempotent such as a
+    spin factor's (1 + v)/2, whose coordinates are 1/2.
     """
     f = a.field
     if mode == "exhaustive":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import FormatError, NonPrimeModulus, ZeroDenominator
+from .errors import FormatError, NonPrimeModulus, ZeroDenominator, shown
 
 MAX_PRIME = 2**31
 
@@ -131,11 +131,11 @@ class RationalField(Field):
     def parse(self, text: str):
         text = text.strip()
         if not _RATIONAL_RE.match(text):
-            raise FormatError(f"not a rational scalar: {text!r}")
+            raise FormatError(f"not a rational scalar: {shown(text)}")
         try:
             return _exact(Fraction, text)
         except ZeroDivisionError as exc:
-            raise ZeroDenominator(f"zero denominator in rational scalar {text!r}") from exc
+            raise ZeroDenominator(f"zero denominator in rational scalar {shown(text)}") from exc
 
     def format(self, a) -> str:
         return str(a)
@@ -157,7 +157,7 @@ class PrimeField(Field):
         if isinstance(p, int) and p >= MAX_PRIME:
             raise NonPrimeModulus(f"modulus too large: {len(str(p))} digits >= 2^31")
         if not isinstance(p, int) or not _is_prime(p):
-            raise NonPrimeModulus(f"modulus must be prime and >= 2, got {p!r}")
+            raise NonPrimeModulus(f"modulus must be prime and >= 2, got {shown(p)}")
         self.p = p
         self.characteristic = p
 
@@ -193,7 +193,7 @@ class PrimeField(Field):
     def parse(self, text: str):
         text = text.strip()
         if not _INTEGER_RE.match(text):
-            raise FormatError(f"not a prime-field scalar: {text!r}")
+            raise FormatError(f"not a prime-field scalar: {shown(text)}")
         return _exact(int, text) % self.p
 
     def format(self, a) -> str:
@@ -220,14 +220,14 @@ def prime_field(p: int) -> PrimeField:
 def field_from_spec(spec: dict) -> Field:
     """Build a field from its file representation, e.g. {"type": "prime", "p": 5}."""
     if not isinstance(spec, dict) or "type" not in spec:
-        raise FormatError(f"bad field spec: {spec!r}")
+        raise FormatError(f"bad field spec: {shown(spec)}")
     if spec["type"] == "rational":
         return rational_field()
     if spec["type"] == "prime":
         if "p" not in spec:
             raise FormatError("prime field spec needs 'p'")
         return prime_field(spec["p"])
-    raise FormatError(f"unknown field type: {spec['type']!r}")
+    raise FormatError(f"unknown field type: {shown(spec['type'])}")
 
 
 def is_torsion_free(field: Field, k: int) -> bool:

@@ -32,8 +32,10 @@ checked against its image, and, for the rest, which forced element each
 one hits, with its first occurrence. The value side runs the rounds of
 a closure for all candidates of x at once, one row per candidate over
 shared columns, and drops a row at its first conflict; each surviving
-row is installed as it is and searched below without being closed
-again.
+row gives the child state as it is and is searched below without being
+closed again. A DFS state (_State) is a value that nothing changes, so
+nothing is undone on the way back, and DFS runs from sibling states of
+one search may interleave.
 
 The candidates of x are prefiltered in the same terms: with the assigned
 elements followed by x as the base, the level-1 gather of x as the one
@@ -186,6 +188,24 @@ class _Round:
     elements: np.ndarray
 
 
+@dataclass(frozen=True)
+class _State:
+    """A node of the DFS, never changed once made: its arrays are read-only.
+
+    img[x] is the image of x, or -1 while x is unassigned. ts[i] and ss[i]
+    are the t and s of the level-(i + 1) pairs in the order rounds added
+    them; level 1 is the assignment, so ss[0] holds the images taken.
+    """
+
+    img: np.ndarray
+    ts: tuple
+    ss: tuple
+
+    def __post_init__(self):
+        for a in (self.img, *self.ts, *self.ss):
+            a.flags.writeable = False
+
+
 class _TableSearch:
     """Shared DFS engine; subclasses fix the node rule and the output."""
 
@@ -208,15 +228,8 @@ class _TableSearch:
         self.size = dom.size
         self.mul = _table_op(dom.mul)
         self.rule = self._rule()
-        # search state: pairs[i][:, :counts[i]] holds the level-(i + 1)
-        # pairs (t, s), in the column order of the rounds that added them;
-        # level 1 is the assignment itself, in commit order.
-        self.img = np.full(self.size, -1, dtype=np.int64)
-        self.used = np.zeros(cod.size, dtype=bool)
-        self.pairs = [np.empty((2, self.size), dtype=np.int64)]
-        self.pairs += [np.empty((2, 0), dtype=np.int64) for _ in range(2, n)]
-        self.counts = [0] * (n - 1)
-        self.trail: list[list[int]] = []  # counts before each install
+        empty = tuple(np.empty(0, dtype=np.int64) for _ in range(1, n))
+        self.root = _State(np.full(self.size, -1, dtype=np.int64), empty, empty)
         self._plans: dict[tuple, _Round] = {}
         self._prefilters: dict[bytes, tuple[_Columns, np.ndarray]] = {}
         # run record
@@ -233,7 +246,7 @@ class _TableSearch:
         x * t is forced to, on index arrays that broadcast like numpy's."""
         raise NotImplementedError
 
-    def _emit(self):
+    def _emit(self, img: np.ndarray):
         raise NotImplementedError
 
     def _verify(self, table) -> bool:
@@ -292,52 +305,50 @@ class _TableSearch:
     def _taken(self, owner: np.ndarray, rows: np.ndarray, images: np.ndarray, at: int):
         """Rows whose new images (base columns at..) are already taken or repeat.
 
-        owner[row, v] is the base column that took image v in the row's
-        closure so far, or -1; an image the closure took before, or two new
-        columns writing one cell, is a conflict.
+        owner[row, v] is the base column that took image v, in the assigned
+        prefix or in the row's closure so far, or -1; an image taken before,
+        or two new columns writing one cell, is a conflict.
         """
         cols = np.arange(at, at + images.shape[1], dtype=owner.dtype)
         rows = rows[:, None]
-        dead = self.used[images].any(axis=1) | (owner[rows, images] != -1).any(axis=1)
+        dead = (owner[rows, images] != -1).any(axis=1)
         owner[rows, images] = cols
         return dead | (owner[rows, images] != cols).any(axis=1)
 
-    def _state(self, x: int):
-        """The state a closure of img[x] starts from: all old but x.
+    def _state(self, state: _State, x: int):
+        """What a closure of img[x] below state starts from: all old but x.
 
         ts[0] are the assigned elements, then x, and ts[i] the t of the
-        level-(i + 1) pairs; old counts the old prefix of each.
+        level-(i + 1) pairs; old gives the length of the old prefix of each.
         """
-        m = self.counts[0]
-        ts = [np.append(self.pairs[0][0, :m], x)]
-        ts += [p[0, :c] for p, c in zip(self.pairs[1:], self.counts[1:])]
-        return ts, [m] + self.counts[1:]
+        return [np.append(state.ts[0], x), *state.ts[1:]], [t.size for t in state.ts]
 
-    def _close_siblings(self, x: int, vs) -> list:
-        """Close img[x] = v for every candidate v at once.
+    def _close_siblings(self, state: _State, x: int, vs) -> list:
+        """Close img[x] = v below state for every candidate v at once.
 
-        Returns, per v, None if the closure refutes it, else a row for
-        _install. The rounds run with one row per candidate: vals[0] holds
-        the base-pair images by column (the assigned prefix, x, then each
-        round's forced elements) and vals[i] the s of the level-(i + 1)
-        pairs. A round gathers each level below the top and keeps the new
-        pairs that _distinct keeps, then the top level by its plan. A row
-        is dropped after the first round in which it conflicts: a checked
-        product disagrees with an assigned image, two products force one
-        element to two images, or, for bijections, an image is taken
-        twice. The closure ends when the table is complete or a round
-        forces nothing.
+        Returns, per v, None if the closure refutes it, else a row (ts, ss)
+        for _extend, the t and s that each level gained. The rounds run
+        with one row per candidate: vals[0] holds the base-pair images by
+        column (the assigned prefix, x, then each round's forced elements)
+        and vals[i] the s of the level-(i + 1) pairs. A round gathers each
+        level below the top and keeps the new pairs that _distinct keeps,
+        then the top level by its plan. A row is dropped after the first
+        round in which it conflicts: a checked product disagrees with an
+        assigned image, two products force one element to two images, or,
+        for bijections, an image is taken twice. The closure ends when the
+        table is complete or a round forces nothing.
         """
         if not len(vs):
             return []
-        ts, old = self._state(x)
+        ts, old = self._state(state, x)
         top = self.n - 2
         vs = np.asarray(vs, dtype=np.int64)
         live = np.arange(vs.size)
         if self.bijective:
             owner = np.full((vs.size, self.cod.size), -1, dtype=np.int32)
+            owner[:, state.ss[0]] = np.arange(old[0], dtype=np.int32)
             live = live[~self._taken(owner, live, vs[:, None], old[0])]
-        vals = [np.repeat(p[1:, :c], live.size, axis=0) for p, c in zip(self.pairs, self.counts)]
+        vals = [np.repeat(s[None], live.size, axis=0) for s in state.ss]
         vals[0] = np.column_stack([vals[0], vs[live]])
         while live.size and old[0] < ts[0].size < self.size:
             step = max(1, _GATHER_CHUNK // live.size)
@@ -367,44 +378,24 @@ class _TableSearch:
             old = [t.size for t in ts]
             ts[0] = np.concatenate([ts[0], rnd.elements])
             vals[0] = np.concatenate([vals[0], images], axis=1)
-        added = [t[c:] for t, c in zip(ts, self.counts)]
-        vals = [v[:, c:].copy() for v, c in zip(vals, self.counts)]
+        added = [t[p.size:] for t, p in zip(ts, state.ts)]
+        vals = [v[:, p.size:].copy() for v, p in zip(vals, state.ts)]
         rows = [None] * vs.size
         for r, row in enumerate(live):
             rows[row] = (added, [v[r] for v in vals])
         return rows
 
-    def _install(self, row):
-        """Apply a surviving row of _close_siblings; _undo reverts it."""
-        ts, vals = row
-        self.trail.append(self.counts.copy())
-        self.img[ts[0]] = vals[0]
-        if self.bijective:
-            self.used[vals[0]] = True
-        for i, (t, s) in enumerate(zip(ts, vals)):
-            c = self.counts[i]
-            end = c + t.size
-            if end > self.pairs[i].shape[1]:  # level >= 2: grow the buffer
-                grown = np.empty((2, max(end, 2 * self.pairs[i].shape[1])), dtype=np.int64)
-                grown[:, :c] = self.pairs[i][:, :c]
-                self.pairs[i] = grown
-            self.pairs[i][0, c:end] = t
-            self.pairs[i][1, c:end] = s
-            self.counts[i] = end
-
-    def _undo(self, mark: int):
-        """Revert every install recorded on the trail after position mark."""
-        old = self.trail[mark]
-        del self.trail[mark:]
-        xs, vs = self.pairs[0][:, old[0]:self.counts[0]]
-        self.img[xs] = -1
-        if self.bijective:
-            self.used[vs] = False
-        self.counts = old
+    def _extend(self, state: _State, row) -> _State:
+        """The child of state that a surviving row of _close_siblings gives."""
+        ts, ss = row
+        img = state.img.copy()
+        img[ts[0]] = ss[0]
+        return _State(img, tuple(map(np.concatenate, zip(state.ts, ts))),
+                      tuple(map(np.concatenate, zip(state.ss, ss))))
 
     # -- candidate filtering -------------------------------------------------
 
-    def _candidates(self, x: int) -> list[int]:
+    def _candidates(self, state: _State, x: int) -> list[int]:
         """Images of x not refuted by the degree-2 step on x and an assigned element.
 
         For n = 2 this is a pure prefilter: a value it drops violates the
@@ -415,9 +406,11 @@ class _TableSearch:
         this drops solutions: -id is 3-multiplicative but not
         multiplicative.
         """
-        vs = np.flatnonzero(~self.used) if self.bijective else np.arange(self.cod.size)
-        m = self.counts[0]
-        base = np.append(self.pairs[0][0, :m], x)
+        vs = np.arange(self.cod.size)
+        if self.bijective:
+            vs = np.delete(vs, state.ss[0])  # the images taken
+        m = state.ts[0].size
+        base = np.append(state.ts[0], x)
         key = base.tobytes()
         check = self._prefilters.get(key)
         if check is None:
@@ -427,7 +420,7 @@ class _TableSearch:
             check = self._prefilters[key] = (cols[checked], target[checked])
         cols, target = check
         vals = np.empty((vs.size, m + 1), dtype=np.int64)
-        vals[:, :m] = self.pairs[0][1, :m]
+        vals[:, :m] = state.ss[0]
         vals[:, m] = vs
         ok = (self._targets(cols, [vals], 0) == vals.take(target, axis=1)).all(axis=1)
         return vs[ok].tolist()
@@ -444,25 +437,22 @@ class _TableSearch:
             return True
         return False
 
-    def _dfs(self):
+    def _dfs(self, state: _State):
         if self._over_budget():
             self.budget_exceeded = True
             return
-        free = np.flatnonzero(self.img == -1)
+        free = np.flatnonzero(state.img == -1)
         if not free.size:
-            table = self._emit()
+            table = self._emit(state.img)
             if self._verify(table):
                 self.witnesses_emitted += 1
                 yield table
             return
         x = int(free[0])
-        for row in self._close_siblings(x, self._candidates(x)):
+        for row in self._close_siblings(state, x, self._candidates(state, x)):
             self.nodes += 1
             if row is not None:
-                mark = len(self.trail)
-                self._install(row)
-                yield from self._dfs()
-                self._undo(mark)
+                yield from self._dfs(self._extend(state, row))
             if self.budget_exceeded:
                 return
             if self._over_budget():
@@ -471,7 +461,7 @@ class _TableSearch:
 
     def __iter__(self):
         self._started = time.monotonic()
-        yield from self._dfs()
+        yield from self._dfs(self.root)
         if not self.budget_exceeded:
             self.exhausted = True
 
@@ -484,8 +474,8 @@ class MultiplicativeBijectionSearch(_TableSearch):
     def _rule(self):
         return _homomorphism_rule(_table_op(self.cod.mul))
 
-    def _emit(self):
-        return MapTable(self.domain, self.codomain, table=self.img.copy())
+    def _emit(self, img):
+        return MapTable(self.domain, self.codomain, table=img)
 
     def _verify(self, table) -> bool:
         return bool(is_n_multiplicative(table, self.n))
@@ -497,8 +487,8 @@ class DerivationSearch(_TableSearch):
     def _rule(self):
         return _derivation_rule(self.mul, _table_op(self.cod.add))
 
-    def _emit(self):
-        return DerivationTable(self.domain, table=self.img.copy())
+    def _emit(self, img):
+        return DerivationTable(self.domain, table=img)
 
     def _verify(self, table) -> bool:
         return bool(is_n_derivation(table, self.n))
@@ -525,8 +515,8 @@ def enumerate_n_derivations(
     tuple). Its closure cannot conflict: every product with 0 is 0.
     """
     search = DerivationSearch(a, a, n, budget)
-    (row,) = search._close_siblings(0, [0])
-    search._install(row)
+    (row,) = search._close_siblings(search.root, 0, [0])
+    search.root = search._extend(search.root, row)
     return search
 
 

@@ -299,20 +299,21 @@ class QueuePropagation:
     """Forcing one image at a time: the reference for the closure plans.
 
     Mixed in ahead of a search class, this replaces the prefilter
-    _candidates and the sibling hook _close_siblings, with _install and
-    _undo, by code over Python lists, dicts and sets, with products read
-    from list-of-lists tables. It shares no plan, no value rows and no
-    closure code with the engine. _candidates tries each allowed value
-    on its own against the degree-2 step, the engine's rule for every n.
-    Each candidate is assigned and closed on its own, in order, and
-    undone. Level-k pairs (t, s) are extended by each assigned x to level
-    k + 1, and a level-n pair forces img[t] = s; every pair is extended as
-    soon as it appears, and pairs are kept once per (t, s). A surviving
-    candidate's row is the list of state changes its closure made, which
-    _install replays. The engine state that the DFS reads (img, used and
-    the assigned prefix pairs[0][:, :counts[0]]) is kept in step. closed
-    counts the candidates the hook closed, so a test can tell that the
-    oracle, not the engine, ran.
+    _candidates and the sibling hook _close_siblings by code over Python
+    lists, dicts and sets, with products read from list-of-lists tables.
+    It shares no plan, no value rows and no closure code with the engine.
+    Both hooks read the DFS state value they are given (img and the t and
+    s of the pairs at each level) and change nothing in it.
+    _candidates tries each allowed value on its own against the degree-2
+    step, the engine's rule for every n. Each candidate is closed on its
+    own fresh copy of the state, in order: level-k pairs (t, s) are
+    extended by each assigned x to level k + 1, and a level-n pair forces
+    img[t] = s; every pair is extended as soon as it appears, and pairs
+    are kept once per (t, s). A surviving candidate's row is what its
+    closure added, in the engine's format: (ts, ss), the new t and s of
+    each level, level 1 being the new assignments. closed counts the
+    candidates the hook closed, so a test can tell that the oracle, not
+    the engine, ran.
     """
 
     def __init__(self, *args):
@@ -320,68 +321,82 @@ class QueuePropagation:
         self.mul_rows = self.dom.mul.tolist()
         self.cod_mul_rows = self.cod.mul.tolist()
         self.cod_add_rows = self.cod.add.tolist()
-        self.ref_img = [-1] * self.size
-        self.assigned = []
-        self.levels = {k: [] for k in range(2, self.n)}
-        self.level_seen = {k: set() for k in range(2, self.n)}
         self.closed = 0
 
     def _product(self, x, v, t, s):
         """(x * t, the image x * t must take) when x maps to v and t to s."""
         raise NotImplementedError
 
-    def _extend(self, x, pair):
-        return self._product(x, self.ref_img[x], *pair)
-
-    def _candidates(self, x):
+    def _candidates(self, state, x):
         """The values v of x under which the degree-2 step gives each
         product x y, y x and x x (y assigned) that lands on x or an
         assigned element that element's image."""
-        img = {y: self.ref_img[y] for y in self.assigned}
+        assigned = state.ts[0].tolist()
+        img = dict(zip(assigned, state.ss[0].tolist()))
         taken = set(img.values()) if self.bijective else set()
         out = []
         for v in range(self.cod.size):
             if v in taken:
                 continue
             img[x] = v
-            pairs = [(x, y) for y in img] + [(y, x) for y in self.assigned]
+            pairs = [(x, y) for y in img] + [(y, x) for y in assigned]
             products = (self._product(a, img[a], b, img[b]) for a, b in pairs)
             if all(img.get(z, s) == s for z, s in products):
                 out.append(v)
         return out
 
+    def _close_siblings(self, state, x, vs):
+        rows = []
+        for v in vs:
+            self.closed += 1
+            rows.append(_QueueClosure(self, state).row(x, v))
+        return rows
+
+
+class _QueueClosure:
+    """One candidate's closure, on a fresh copy of a DFS state."""
+
+    def __init__(self, search, state):
+        self.search = search
+        self.img = state.img.tolist()
+        self.taken = set(state.ss[0].tolist())  # read for bijections only
+        self.assigned = state.ts[0].tolist()
+        self.levels = {k: list(zip(state.ts[k - 1].tolist(), state.ss[k - 1].tolist()))
+                       for k in range(2, search.n)}
+        self.seen = {k: set(pairs) for k, pairs in self.levels.items()}
+
+    def row(self, x, v):
+        """The assignments and pairs that img[x] = v adds, as (ts, ss), or
+        None if its closure conflicts."""
+        assigned = len(self.assigned)
+        sizes = {k: len(pairs) for k, pairs in self.levels.items()}
+        if not self._assign(x, v):
+            return None
+        new = [[(y, self.img[y]) for y in self.assigned[assigned:]]]
+        new += [self.levels[k][sizes[k]:] for k in sorted(self.levels)]
+        ts = [np.array([t for t, _ in pairs], dtype=np.int64) for pairs in new]
+        ss = [np.array([s for _, s in pairs], dtype=np.int64) for pairs in new]
+        return ts, ss
+
+    def _step(self, x, pair):
+        return self.search._product(x, self.img[x], *pair)
+
     def _force(self, t, s, queue):
-        cur = self.ref_img[t]
+        cur = self.img[t]
         if cur != -1:
             return cur == s
         queue.append((t, s))
         return True
 
-    def _apply(self, op):
-        """Make one state change and record it on the trail."""
-        if op[0] == "a":
-            _, x, v = op
-            self.ref_img[x] = v
-            self.img[x] = v
-            self.used[v] = True
-            m = self.counts[0]
-            self.pairs[0][:, m] = x, v
-            self.counts[0] = m + 1
-            self.assigned.append(x)
-        else:
-            _, k, pair = op
-            self.level_seen[k].add(pair)
-            self.levels[k].append(pair)
-        self.trail.append(op)
-
     def _add_pair(self, k, pair, queue):
-        if k == self.n:
+        if k == self.search.n:
             return self._force(pair[0], pair[1], queue)
-        if pair in self.level_seen[k]:
+        if pair in self.seen[k]:
             return True
-        self._apply(("p", k, pair))
+        self.seen[k].add(pair)
+        self.levels[k].append(pair)
         for x in self.assigned:
-            if not self._add_pair(k + 1, self._extend(x, pair), queue):
+            if not self._add_pair(k + 1, self._step(x, pair), queue):
                 return False
         return True
 
@@ -389,58 +404,32 @@ class QueuePropagation:
         queue = [(x0, v0)]
         while queue:
             x, v = queue.pop()
-            cur = self.ref_img[x]
+            cur = self.img[x]
             if cur != -1:
                 if cur != v:
                     return False
                 continue
-            if self.bijective and self.used[v]:
-                return False
-            self._apply(("a", x, v))
+            if self.search.bijective:
+                if v in self.taken:
+                    return False
+                self.taken.add(v)
+            self.img[x] = v
+            self.assigned.append(x)
             # x extends every existing pair one level up
             for k in sorted(self.levels, reverse=True):
                 for pair in list(self.levels[k]):
-                    if not self._add_pair(k + 1, self._extend(x, pair), queue):
+                    if not self._add_pair(k + 1, self._step(x, pair), queue):
                         return False
             for y in list(self.assigned):
-                base = (y, self.ref_img[y])
+                base = (y, self.img[y])
                 if y == x:
                     # the new base pair, extended by every assigned element
                     for z in list(self.assigned):
-                        if not self._add_pair(2, self._extend(z, base), queue):
+                        if not self._add_pair(2, self._step(z, base), queue):
                             return False
-                elif not self._add_pair(2, self._extend(x, base), queue):
+                elif not self._add_pair(2, self._step(x, base), queue):
                     return False
         return True
-
-    def _close_siblings(self, x, vs):
-        rows = []
-        for v in vs:
-            self.closed += 1
-            mark = len(self.trail)
-            ok = self._assign(x, v)
-            rows.append(self.trail[mark:] if ok else None)
-            self._undo(mark)
-        return rows
-
-    def _install(self, row):
-        for op in row:
-            self._apply(op)
-
-    def _undo(self, mark):
-        while len(self.trail) > mark:
-            op = self.trail.pop()
-            if op[0] == "a":
-                _, x, v = op
-                self.ref_img[x] = -1
-                self.img[x] = -1
-                self.used[v] = False
-                self.counts[0] -= 1
-                self.assigned.pop()
-            else:
-                _, k, pair = op
-                self.levels[k].pop()
-                self.level_seen[k].discard(pair)
 
 
 class ReferenceBijectionSearch(QueuePropagation, MultiplicativeBijectionSearch):
@@ -464,6 +453,9 @@ def reference_search(search):
     """
     cls = ReferenceBijectionSearch if search.bijective else ReferenceDerivationSearch
     ref = cls(search.domain, search.codomain, search.n, search.budget)
-    if not search.bijective and not ref._assign(0, 0):
-        raise AssertionError("seeding d(0) = 0 failed in the reference")
+    if not search.bijective:
+        (row,) = ref._close_siblings(ref.root, 0, [0])
+        if row is None:
+            raise AssertionError("seeding d(0) = 0 failed in the reference")
+        ref.root = ref._extend(ref.root, row)
     return ref

@@ -34,3 +34,16 @@ def t2_algebra(p):
     table[1][2][1] = one  # e12 e22 = e12
     table[2][2][2] = one  # e22 e22 = e22
     return jordanify(Algebra(f, ("e11", "e12", "e22"), table, name=f"t2_f{p}"))
+
+
+def spin_factor(p):
+    """The spin factor F u + V over F_p with V = span(v1, v2) (basis u, v1,
+    v2): u is the unit and v_i v_j = delta_ij u, the Jordan algebra of the
+    form with orthonormal basis v1, v2."""
+    f = prime_field(p)
+    zero, one = f.zero(), f.one()
+    table = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    for i in range(3):
+        table[0][i][i] = table[i][0][i] = one  # u x = x u = x
+    table[1][1][0] = table[2][2][0] = one  # v1 v1 = v2 v2 = u
+    return Algebra(f, ("u", "v1", "v2"), table, name=f"spin_f{p}")

@@ -482,6 +482,50 @@ def test_long_modulus_is_counted_not_echoed(tmp_path, capsys):
         assert len(line.encode()) < 200 and digits not in line
 
 
+TEXT_5000 = "x" * 5000
+ONE_DIM_F3 = {"field": {"type": "prime", "p": 3}, "dim": 1, "basis": ["b0"], "products": []}
+
+
+@pytest.mark.parametrize("kind, data", [
+    ("algebra", {**ONE_DIM_F3, "field": {"type": "prime", "p": -int("1" * 4000)}}),
+    ("algebra", {**ONE_DIM_F3, "field": {"type": TEXT_5000}}),
+    ("algebra", {**ONE_DIM_F3, "field": TEXT_5000}),
+    ("algebra", {**ONE_DIM_F3, "dim": int("1" * 4000)}),
+    ("algebra", {**ONE_DIM_F3, "basis": [TEXT_5000, "b1"]}),
+    ("algebra", {**ONE_DIM_F3, "basis": [{TEXT_5000: 0}]}),
+    ("algebra", {**ONE_DIM_F3, "name": [TEXT_5000]}),
+    ("algebra", {**ONE_DIM_F3, "name": "\ud800" + TEXT_5000}),
+    ("algebra", {**ONE_DIM_F3, "products": {TEXT_5000: 1}}),
+    ("algebra", {**ONE_DIM_F3, "products": [{"i": 0, "j": 0, "k": 1, "c": "1", TEXT_5000: 0}]}),
+    ("algebra", {**ONE_DIM_F3, "products": [{"i": 0, "j": 0, TEXT_5000: 0}]}),
+    ("algebra", {**ONE_DIM_F3, "products": [{"i": 0, "j": 0, "k": 0, "c": TEXT_5000}]}),
+    ("algebra", {**ONE_DIM_F3, "field": {"type": "rational"},
+                 "products": [{"i": 0, "j": 0, "k": 0, "c": TEXT_5000}]}),
+    ("map", {"entries": TEXT_5000}),
+    ("map", {"entries": [{"in": 0, "out": 0, TEXT_5000: 0}]}),
+    ("map", {"entries": [{"in": TEXT_5000}]}),
+    ("map", {"matrix": [TEXT_5000]}),
+    ("map", {"matrix": [[TEXT_5000] * 4] * 4}),
+    ("field", TEXT_5000),
+], ids=["negative-p", "field-type", "field-spec", "dim", "basis", "basis-name", "name",
+        "name-utf8", "products",
+        "product-indices", "product-entry", "prime-scalar", "rational-scalar", "entries",
+        "entry-keys", "entry-without-out", "matrix-rows", "matrix-scalar", "field-argv"])
+def test_long_input_is_cut_in_the_error_line(files, tmp_path, capsys, kind, data):
+    # each message shows at most about 80 characters of what it echoes
+    path = tmp_path / f"long.{kind}"
+    path.write_text(json.dumps(data))
+    argv = {
+        "algebra": ["check", str(path)],
+        "map": ["check-derivation", files["k_f3"], str(path), "--n", "2"],
+        "field": ["example", "m2", "--field", str(data), "--out", str(tmp_path / "x.alg")],
+    }[kind]
+    capsys.readouterr()
+    assert run(argv).exit_code == 2
+    line = one_error_line(capsys)
+    assert len(line.encode()) < 200 and "characters)" in line
+
+
 def test_structure_constants_past_the_cap_exit_2(tmp_path, capsys):
     path = tmp_path / "dim101.alg"
     path.write_text(json.dumps({

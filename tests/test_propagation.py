@@ -27,9 +27,12 @@ import oracles
 from strategies import f3_algebras
 
 
+def run_tables(stream):
+    return [tuple(t.index_table().tolist()) for t in stream]
+
+
 def run(search):
-    tables = [tuple(t.index_table().tolist()) for t in search]
-    return tables, search.nodes, search.exhausted, search.budget_exceeded
+    return run_tables(search), search.nodes, search.exhausted, search.budget_exceeded
 
 
 def assert_same_run(search):
@@ -81,10 +84,9 @@ def test_chunked_gathers_match_reference(kf3, monkeypatch):
     assert nodes == 120
 
 
-def state(search):
-    counts = list(search.counts)
-    pairs = [p[:, :c].tolist() for p, c in zip(search.pairs, counts)]
-    return search.img.tolist(), search.used.tolist(), counts, pairs, list(search.trail)
+def state(node):
+    """The contents of a DFS state value, as lists."""
+    return node.img.tolist(), [t.tolist() for t in node.ts], [s.tolist() for s in node.ss]
 
 
 F3_UNIT = [[[1]]]  # F3 itself: b0 b0 = b0
@@ -103,19 +105,20 @@ CONFLICTS = [
 ]
 
 
-def test_frontier_conflicts_fail_and_undo(monkeypatch):
+def test_frontier_conflicts_fail_and_leave_the_state(monkeypatch):
     for table, kind, x, v, conflict in CONFLICTS:
         dim = len(table)
         algebra = Algebra(prime_field(3), tuple(f"b{i}" for i in range(dim)), table)
         search = make_search(algebra, kind, 2)
+        node = search.root
         if x and kind == "bijections":
-            (row,) = search._close_siblings(0, [0])
-            search._install(row)
-        before = state(search)
-        assert search._close_siblings(x, [v]) == [None], conflict
-        assert state(search) == before  # a refuted row changes nothing
+            (row,) = search._close_siblings(node, 0, [0])
+            node = search._extend(node, row)
+        before = state(node)
+        assert search._close_siblings(node, x, [v]) == [None], conflict
+        assert state(node) == before  # a refuted row changes nothing
         if conflict.startswith("clash"):
-            rnd = search._plan(*search._state(x))
+            rnd = search._plan(*search._state(node, x))
             assert rnd.elements.size == 0 and len(rnd.checked) == 1  # nothing forced, one check
         elif conflict.startswith("two"):
             assert not search.bijective  # no injectivity test at all
@@ -123,16 +126,63 @@ def test_frontier_conflicts_fail_and_undo(monkeypatch):
             # the only conflict is injectivity: without it the row survives
             monkeypatch.setattr(search, "_taken", lambda owner, rows, images, at:
                                 np.zeros(len(rows), dtype=bool))
-            assert search._close_siblings(x, [v]) != [None], conflict
+            assert search._close_siblings(node, x, [v]) != [None], conflict
             monkeypatch.undo()
-        # a surviving sibling installs, and _undo reverts all of it
-        rows = search._close_siblings(x, search._candidates(x))
+        # a surviving sibling gives a new state, and the parent stays as it was
+        rows = search._close_siblings(node, x, search._candidates(node, x))
         for row in filter(None, rows):
-            mark = len(search.trail)
-            search._install(row)
-            assert state(search) != before
-            search._undo(mark)
-            assert state(search) == before
+            assert state(search._extend(node, row)) != before
+            assert state(node) == before
+
+
+def children(search, node):
+    """The states below node, one per surviving candidate of its first free element."""
+    x = int(np.flatnonzero(node.img == -1)[0])
+    rows = search._close_siblings(node, x, search._candidates(node, x))
+    return [search._extend(node, row) for row in rows if row is not None]
+
+
+@pytest.mark.parametrize("kind", ["bijections", "derivations"])
+def test_extend_leaves_the_parent_state_unchanged(kf3, kind):
+    # at n = 3 a state also holds level-2 pairs
+    search = make_search(kf3, kind, 3)
+    node, steps = search.root, 0
+    while (node.img == -1).any():
+        before = state(node)
+        below = children(search, node)
+        assert state(node) == before
+        assert not any(a.flags.writeable for a in (node.img, *node.ts, *node.ss))
+        if not below:
+            break
+        node, steps = below[-1], steps + 1
+    assert steps > 2 and node.ts[1].size
+
+
+@pytest.mark.parametrize("kind", ["bijections", "derivations"])
+def test_sibling_searches_run_interleaved(kf3, kind):
+    # two DFS generators from sibling states of one search, advanced in
+    # turn, yield what each yields alone; they share the plan caches
+    search = make_search(kf3, kind, 2)
+    node = search.root
+    while True:  # down to the first node where two siblings yield tables
+        below = children(search, node)
+        one_after_other = [run_tables(search._dfs(child)) for child in below]
+        yielding = [child for child, tables in zip(below, one_after_other) if tables]
+        if len(yielding) > 1:
+            break
+        (node,) = yielding
+    interleaved = [[] for _ in below]
+    live = dict(enumerate(search._dfs(child) for child in below))
+    while live:
+        for i, dfs in list(live.items()):
+            table = next(dfs, None)
+            if table is None:
+                del live[i]
+            else:
+                interleaved[i].append(tuple(table.index_table().tolist()))
+    assert interleaved == one_after_other
+    # above the siblings, no other subtree yields a table
+    assert sum(one_after_other, []) == run(make_search(kf3, kind, 2))[0]
 
 
 def test_verify_rejects_tables_the_closure_left_unchecked(monkeypatch):
@@ -195,12 +245,12 @@ def test_plans_are_keyed_by_the_state(f3xf3):
     # one element, two assigned prefixes: the plan cached for the first
     # must not serve the second
     search = make_search(f3xf3, "bijections", 2)
-    on_empty = search._plan(*search._state(1))
-    (row,) = search._close_siblings(0, [0])
-    search._install(row)
-    state = search._state(1)
-    assert search._plan(*state) is not on_empty
-    assert search._plan(*state).elements.tolist() == search._build_plan(*state).elements.tolist()
+    on_empty = search._plan(*search._state(search.root, 1))
+    (row,) = search._close_siblings(search.root, 0, [0])
+    closure = search._state(search._extend(search.root, row), 1)
+    assert search._plan(*closure) is not on_empty
+    assert search._plan(*closure).elements.tolist() == \
+        search._build_plan(*closure).elements.tolist()
     assert len(search._plans) == 3
 
 
@@ -209,28 +259,30 @@ def assert_closures_match(search, rng):
     closures must refute what the queue refutes, and every level must
     hold the queue's pairs as a set."""
     reference = oracles.reference_search(search)
+    node, ref_node = search.root, reference.root
     while True:
-        x = int(np.flatnonzero(search.img == -1)[0])
-        vs = search._candidates(x)
-        assert vs == reference._candidates(x)
-        rows = search._close_siblings(x, vs)
-        for row, ref_row in zip(rows, reference._close_siblings(x, vs)):
+        x = int(np.flatnonzero(node.img == -1)[0])
+        vs = search._candidates(node, x)
+        assert vs == reference._candidates(ref_node, x)
+        rows = search._close_siblings(node, x, vs)
+        for row, ref_row in zip(rows, reference._close_siblings(ref_node, x, vs)):
             if row is None:
                 assert ref_row is None
             elif ref_row is None:  # the engine stops at a complete table
-                assert len(row[0][0]) == (search.img == -1).sum()
+                assert len(row[0][0]) == (node.img == -1).sum()
         survivors = [(v, row) for v, row in zip(vs, rows) if row is not None]
         if not survivors:
             return
         v, row = survivors[rng.integers(len(survivors))]
-        search._install(row)
-        if (search.img != -1).all():
+        node = search._extend(node, row)
+        if (node.img != -1).all():
             return
-        (ref_row,) = reference._close_siblings(x, [v])
-        reference._install(ref_row)
+        (ref_row,) = reference._close_siblings(ref_node, x, [v])
+        ref_node = reference._extend(ref_node, ref_row)
         for k in range(2, search.n):
-            pairs = search.pairs[k - 1][:, :search.counts[k - 1]]
-            assert set(zip(*pairs.tolist())) == set(reference.levels[k])
+            pairs, ref_pairs = (set(zip(n.ts[k - 1].tolist(), n.ss[k - 1].tolist()))
+                                for n in (node, ref_node))
+            assert pairs == ref_pairs
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -250,10 +302,11 @@ def test_closed_pairs_match_reference(seed):
 def test_plans_are_keyed_by_every_level(kf3):
     # two states with one base and as many level-2 pairs, in another order
     search = make_search(kf3, "bijections", 3)
+    node = search.root
     for x in (0, 1, 2):
-        rows = search._close_siblings(x, search._candidates(x))
-        search._install(next(filter(None, rows)))
-    ts, old = search._state(3)
+        rows = search._close_siblings(node, x, search._candidates(node, x))
+        node = search._extend(node, next(filter(None, rows)))
+    ts, old = search._state(node, 3)
     assert len(set(ts[1].tolist())) > 1
     swapped = [ts[0], ts[1][::-1].copy()]
     plan = search._plan(ts, old)
@@ -280,12 +333,13 @@ def test_degree_4_pair_lists_stay_bounded(kf3, kind, monkeypatch):
     # deduplicated, a level holds at most one pair per (t, s)
     search = make_search(kf3, kind, 4, budget=SearchBudget(max_nodes=150))
     peak = [0] * 3
-    install = search._install
+    extend = search._extend
 
-    def counting_install(row):
-        install(row)
-        peak[:] = map(max, peak, search.counts)
+    def counting_extend(node, row):
+        child = extend(node, row)
+        peak[:] = map(max, peak, (t.size for t in child.ts))
+        return child
 
-    monkeypatch.setattr(search, "_install", counting_install)
+    monkeypatch.setattr(search, "_extend", counting_extend)
     assert_same_run(search)
     assert max(peak[1:]) <= search.size**2

@@ -27,7 +27,7 @@ from jordankit.linalg import rref
 
 import oracles
 from conftest import diagonal_product_algebra
-from strategies import t2_algebra
+from strategies import spin_factor, t2_algebra
 
 
 def table_set(stream):
@@ -467,23 +467,38 @@ def test_theorem_instances_spin_factor_degree_3(f3):
     assert n2 == {tuple(t.index_table().tolist()) for t in maps3}
 
 
+def first_nontrivial(a):
+    """The first nontrivial idempotent of the heuristic 0/1 sweep."""
+    return next(h.element for h in find_idempotents(a, "heuristic")
+                if h.classification == "nontrivial")
+
+
+def half_unit_plus_v1(a):
+    """(u + v1)/2 in a spin factor: its coordinates are 1/2, outside the 0/1 sweep."""
+    half = a.field.inv(a.field.from_int(2))
+    return a.element([half, half, a.field.zero()])
+
+
 @pytest.mark.parametrize(
-    "make,dims,conditions,n_maps,n_nonadditive_maps,n_derivs",
+    "make,idempotent,dims,conditions,n_maps,n_nonadditive_maps,n_derivs",
     [
-        (lambda: t2_algebra(3), (1, 1, 1), True, 12, 0, 9),
-        (lambda: t2_algebra(5), (1, 1, 1), True, 40, 0, 25),
-        (lambda: diagonal_product_algebra(prime_field(5), 2), (1, 0, 1), False, 8, 6, 1),
+        (lambda: t2_algebra(3), first_nontrivial, (1, 1, 1), True, 12, 0, 9),
+        (lambda: t2_algebra(5), first_nontrivial, (1, 1, 1), True, 40, 0, 25),
+        (lambda: diagonal_product_algebra(prime_field(5), 2), first_nontrivial,
+         (1, 0, 1), False, 8, 6, 1),
+        (lambda: spin_factor(3), half_unit_plus_v1, (1, 1, 1), True, 8, 0, 3),
+        (lambda: spin_factor(5), half_unit_plus_v1, (1, 1, 1), True, 8, 0, 5),
     ],
-    ids=["t2-f3", "t2-f5", "f5xf5"],
+    ids=["t2-f3", "t2-f5", "f5xf5", "spin-f3", "spin-f5"],
 )
-def test_theorem_as_oracle_at_n2(make, dims, conditions, n_maps, n_nonadditive_maps, n_derivs):
-    # Theorems 2.1 and 3.1 as an oracle: where conditions (i)-(iii) hold at the
-    # first nontrivial idempotent of the 0/1 sweep, an exhausted search finds
-    # only additive maps. F5 x F5 fails them (Jhalf = 0) and has non-additive
-    # bijections (x -> x^3 on a factor), so the oracle discriminates.
+def test_theorem_as_oracle_at_n2(make, idempotent, dims, conditions, n_maps,
+                                 n_nonadditive_maps, n_derivs):
+    # Theorems 2.1 and 3.1 as an oracle: where conditions (i)-(iii) hold at
+    # the idempotent, an exhausted search finds only additive maps. F5 x F5
+    # fails them (Jhalf = 0) and has non-additive bijections (x -> x^3 on a
+    # factor), so the oracle discriminates.
     a = make()
-    hits = find_idempotents(a, "heuristic")
-    dec = peirce_decompose(a, next(h.element for h in hits if h.classification == "nontrivial"))
+    dec = peirce_decompose(a, idempotent(a))
     assert dec.dims == dims
     car = carrier_of(a)
     elems = [car.element_at(i) for i in range(car.size)]
