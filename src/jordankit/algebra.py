@@ -609,7 +609,7 @@ def read_json(path):
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise FormatError(f"not valid JSON: {path} ({exc})") from exc
+            raise FormatError(f"not valid JSON: {shown(path)} ({exc})") from exc
 
 
 def load_algebra(path) -> Algebra:

@@ -1,13 +1,18 @@
 """Finite carriers of algebras over prime fields.
 
-Enumerates all p^dim elements in lexicographic coordinate order and
-builds integer index tables (sums, products) so exhaustive
-predicates can run as vectorized gathers instead of per-element loops.
-Index order equals lexicographic coordinate order, which fixes the
-deterministic scan order used for witnesses everywhere.
+Enumerates all p^dim elements in lexicographic coordinate order, which
+fixes the deterministic scan order used for witnesses everywhere, and
+builds N x N index tables (sums, products) so exhaustive predicates run
+as vectorized gathers. No build makes an N x N x dim array: coordinate k
+of the products is one matmul, ((X @ T[:, :, k]) % p) @ X.T for coordinates
+X and structure constants T, weighted by p^(dim-1-k) and added into the
+table; sums carry nothing between digits, so the sum table nests dim
+copies of F_p's p x p one.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -27,16 +32,9 @@ class FiniteCarrier:
         d = algebra.dim
         check_enumerable(p, d)
         self.algebra = algebra
-        self.p = p
-        self.dim = d
-        self.size = p**d
+        self.p, self.dim, self.size = p, d, p**d
         self.powers = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        grid = np.indices((p,) * d).reshape(d, -1).T
-        self.coords = np.ascontiguousarray(grid, dtype=np.int64)
-        self._mul = None
-        self._add = None
-
-    # -- element <-> index ------------------------------------------------
+        self.coords = np.indices((p,) * d, dtype=np.int64).reshape(d, -1).T.copy()
 
     def encode(self, coords_array: np.ndarray) -> np.ndarray:
         return (np.asarray(coords_array, dtype=np.int64) % self.p) @ self.powers
@@ -58,31 +56,33 @@ class FiniteCarrier:
 
     def _require_pair_tables(self):
         if self.size * self.size > PAIR_TABLE_CAP:
-            raise EnumerationTooLarge(
-                f"pairwise tables need {self.size}^2 entries, beyond {PAIR_TABLE_CAP}"
-            )
+            raise EnumerationTooLarge(f"pairwise tables need {self.size}^2 entries, "
+                                      f"beyond {PAIR_TABLE_CAP}")
 
-    @property
+    @cached_property
     def mul(self) -> np.ndarray:
         """N x N table of product indices."""
-        if self._mul is None:
-            self._require_pair_tables()
-            t = np.array(self.algebra.table, dtype=np.int64)
-            part = np.tensordot(self.coords, t, axes=([1], [1])) % self.p  # [y, i, k]
-            prod = np.einsum("xi,yik->xyk", self.coords, part) % self.p
-            self._mul = (prod @ self.powers).astype(np.int64)
-        return self._mul
+        self._require_pair_tables()
+        p, x, t = self.p, self.coords, np.array(self.algebra.table, dtype=np.int64)
+        table = np.zeros((self.size, self.size), dtype=np.int64)
+        part = np.empty_like(table)
+        for k, weight in enumerate(self.powers):
+            np.matmul((x @ t[:, :, k]) % p, x.T, out=part)
+            part %= p
+            part *= weight
+            table += part
+        return table
 
-    @property
+    @cached_property
     def add(self) -> np.ndarray:
         """N x N table of sum indices."""
-        if self._add is None:
-            self._require_pair_tables()
-            sums = (self.coords[:, None, :] + self.coords[None, :, :]) % self.p
-            self._add = (sums @ self.powers).astype(np.int64)
-        return self._add
-
-    # -- derived views -----------------------------------------------------
+        self._require_pair_tables()
+        p, table = self.p, np.zeros((1, 1), dtype=np.int64)
+        digit = np.add.outer(np.arange(p, dtype=np.int64), np.arange(p)) % p
+        for _ in range(self.dim):  # prepend one digit, the most significant
+            n = len(table)
+            table = (digit[:, None, :, None] * n + table[None, :, None, :]).reshape(n * p, n * p)
+        return table
 
     def scalar_map(self, c) -> np.ndarray:
         """Index image of scalar multiplication by c."""

@@ -381,6 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error_text(exc) -> str:
+    """The message of a refusal; an OSError's file name is cut like any echoed input."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {shown(exc.filename)}"
+    return str(exc)
+
+
 def run(argv) -> RunReport:
     """Execute one CLI invocation, print its report, and return it."""
     parser = build_parser()
@@ -390,7 +397,7 @@ def run(argv) -> RunReport:
     try:
         report = args.fn(args)
     except (JordankitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_error_text(exc)}", file=sys.stderr)
         report = RunReport(args.command, exit_code=2)
         return report
     print("\n".join([f"command: {report.command}"] + report.lines))

@@ -1,15 +1,19 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jordankit import (
+    Algebra,
     CarrierInfinite,
     DerivationTable,
     EnumerationTooLarge,
     carrier_of,
     multiply,
+    prime_field,
 )
+from jordankit.carrier import FiniteCarrier
 
 import oracles
 from conftest import diagonal_product_algebra
@@ -50,6 +54,43 @@ def test_add_table(kf3):
     for _ in range(50):
         i, j = rng.randrange(81), rng.randrange(81)
         assert car.element_at(int(car.add[i, j])) == car.element_at(i) + car.element_at(j)
+
+
+def zero_algebra(field, dim):
+    zero = field.zero()
+    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    return Algebra(field, tuple(f"z{i}" for i in range(dim)), table)
+
+
+@pytest.mark.parametrize("which", ["m2f3", "kf3", "f3xf3", "f5-dim1", "f3-zero3"])
+def test_every_table_entry_matches_the_oracle(request, which):
+    # m2f3 is noncommutative, so a table holding y x for x y fails here
+    a = {
+        "f5-dim1": lambda: diagonal_product_algebra(prime_field(5), 1),
+        "f3-zero3": lambda: zero_algebra(prime_field(3), 3),
+    }.get(which, lambda: request.getfixturevalue(which))()
+    car = carrier_of(a)
+    p = car.p
+    coords = oracles.carrier_coords(p, a.dim)
+    index = {c: i for i, c in enumerate(coords)}
+    want_mul = [[index[tuple(int(c) % p for c in oracles.raw_multiply(a, x, y))] for y in coords]
+                for x in coords]
+    want_add = [[index[tuple((s + t) % p for s, t in zip(x, y))] for y in coords] for x in coords]
+    for table, want in ((car.mul, want_mul), (car.add, want_add)):
+        assert table.dtype == np.int64 and table.flags.c_contiguous
+        assert table.tolist() == want
+
+
+def test_table_build_peak_memory(kf5):
+    # both tables and at most two N x N temporaries; an N x N x dim array would break it
+    car = FiniteCarrier(kf5)
+    tracemalloc.start()
+    try:
+        car.mul, car.add
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * car.size**2 * 8
 
 
 def test_apply_matrix_and_scalar_map(kf3):

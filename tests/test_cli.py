@@ -536,6 +536,19 @@ def test_structure_constants_past_the_cap_exit_2(tmp_path, capsys):
     assert "101^3" in one_error_line(capsys)
 
 
+def test_long_path_is_cut_in_the_error_line(tmp_path, capsys):
+    # past the file-name limit, open() fails; a 400-character path that
+    # opens holds text that is not JSON
+    bad = tmp_path / ("d" * 200) / ("d" * 200) / "bad.alg"
+    bad.parent.mkdir(parents=True)
+    bad.write_text("{not json")
+    assert len(str(bad)) > 400
+    for path in (str(tmp_path / ("a" * 3000)), str(bad)):
+        assert run(["check", path]).exit_code == 2
+        line = one_error_line(capsys)
+        assert len(line.encode()) < 200 and "characters)" in line
+
+
 LONG = "1" * (INT_DIGIT_LIMIT + 700)
 
 
