@@ -603,13 +603,15 @@ def read_json(path):
 
     A malformed document, bytes that are not UTF-8, and an integer past
     the interpreter's digit limit all raise ValueError; nesting deeper
-    than the decoder's recursion limit raises RecursionError.
+    than the decoder's recursion limit raises RecursionError. The
+    decoder's message is cut like the path: the digit limit's alone is
+    about 140 characters.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
-            raise FormatError(f"not valid JSON: {shown(path)} ({exc})") from exc
+            raise FormatError(f"not valid JSON: {shown(path)} ({shown(str(exc))})") from exc
 
 
 def load_algebra(path) -> Algebra:

@@ -8,6 +8,12 @@ of the products is one matmul, ((X @ T[:, :, k]) % p) @ X.T for coordinates
 X and structure constants T, weighted by p^(dim-1-k) and added into the
 table; sums carry nothing between digits, so the sum table nests dim
 copies of F_p's p x p one.
+
+Every index table, these and the maps module's function tables, holds
+its indices in index_dtype(N), the narrowest unsigned type for N
+elements: uint8 up to 256, uint16 up to 65 536 (both K/F5 tables take
+1.56 MB, not the 6.25 MB of int64), uint32 above. Index arithmetic
+x * N + y is done in intp by the one op that does it, maps._table_op.
 """
 
 from __future__ import annotations
@@ -20,6 +26,11 @@ from .algebra import Algebra, Element, check_enumerable
 from .errors import CarrierInfinite, EnumerationTooLarge
 
 PAIR_TABLE_CAP = 25_000_000  # entries per N x N table
+
+
+def index_dtype(size: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every index of a size-element carrier."""
+    return np.min_scalar_type(size - 1)
 
 
 class FiniteCarrier:
@@ -64,24 +75,26 @@ class FiniteCarrier:
         """N x N table of product indices."""
         self._require_pair_tables()
         p, x, t = self.p, self.coords, np.array(self.algebra.table, dtype=np.int64)
-        table = np.zeros((self.size, self.size), dtype=np.int64)
-        part = np.empty_like(table)
+        table = np.zeros((self.size, self.size), dtype=index_dtype(self.size))
+        part = np.empty(table.shape, dtype=np.int64)
         for k, weight in enumerate(self.powers):
             np.matmul((x @ t[:, :, k]) % p, x.T, out=part)
             part %= p
             part *= weight
-            table += part
+            np.add(table, part, out=table, casting="unsafe")  # every partial sum is below N
         return table
 
     @cached_property
     def add(self) -> np.ndarray:
         """N x N table of sum indices."""
         self._require_pair_tables()
-        p, table = self.p, np.zeros((1, 1), dtype=np.int64)
-        digit = np.add.outer(np.arange(p, dtype=np.int64), np.arange(p)) % p
+        dtype = index_dtype(self.size)
+        p, table = self.p, np.zeros((1, 1), dtype=dtype)
+        digit = (np.add.outer(np.arange(p), np.arange(p)) % p).astype(dtype)
         for _ in range(self.dim):  # prepend one digit, the most significant
             n = len(table)
-            table = (digit[:, None, :, None] * n + table[None, :, None, :]).reshape(n * p, n * p)
+            lead = digit * dtype.type(n)  # below N, as is lead + table
+            table = (lead[:, None, :, None] + table[None, :, None, :]).reshape(n * p, n * p)
         return table
 
     def scalar_map(self, c) -> np.ndarray:

@@ -79,7 +79,7 @@ from .algebra import (
     read_json,
     write_json,
 )
-from .carrier import FiniteCarrier, carrier_of
+from .carrier import FiniteCarrier, carrier_of, index_dtype
 from .errors import (
     AlgebraMismatch,
     ArityMismatch,
@@ -145,12 +145,12 @@ class MapTable:
             self._check_hint_consistency()
 
     def _checked_table(self, table) -> np.ndarray:
-        """The table as a new int32 index array, checked against both carrier sizes.
+        """The table as a new index array, checked against both carrier sizes.
 
-        Every table is stored as int32, half of int64, since an audit keeps
-        all the tables it reads. Indices stay below ENUMERATION_CAP, and
-        the index arithmetic x * N + y of a pair table below its N^2 <=
-        PAIR_TABLE_CAP entries.
+        Every table is stored in index_dtype of the codomain carrier, the
+        narrowest unsigned type that holds its indices (uint8 for K/F3,
+        uint16 for K/F5), since an audit keeps all the tables it reads.
+        Index arithmetic on them widens to intp in _table_op.
         """
         p = self.domain.field.characteristic
         q = self.codomain.field.characteristic
@@ -175,7 +175,7 @@ class MapTable:
             raise FormatError(
                 f"function table entry {i} is {int(arr[i])}, outside [0, {cod_size})"
             )
-        return arr.astype(np.int32)
+        return arr.astype(index_dtype(cod_size))
 
     # -- construction ------------------------------------------------------
 
@@ -280,9 +280,13 @@ def _slot_grids(slots: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _table_op(table: np.ndarray):
-    """The operation of an N x N index table on broadcasting index arrays."""
+    """The operation of an N x N index table on broadcasting index arrays.
+
+    The flat index x * N + y is computed in intp: index arrays may be as
+    narrow as the tables (index_dtype), where x * N would wrap.
+    """
     size = table.shape[1]
-    return lambda x, y: table.take(x * size + y)
+    return lambda x, y: table.take(np.multiply(x, size, dtype=np.intp) + y)
 
 
 def _homomorphism_rule(cod_op):

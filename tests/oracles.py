@@ -170,19 +170,20 @@ def idempotents_bruteforce(algebra):
     return hits
 
 
-def first_identity_failure(t, n, trees, derivation):
+def first_identity_failure(t, n, trees, derivation, slots=None):
     """The first (tree, args) where the n-ary identity fails, or None.
 
     Element-level: every monomial is evaluated with monomial_eval, trees in
     the given order and argument tuples in lexicographic carrier order.
     The identity is phi(m(x..)) = m(phi(x)..), or with derivation=True
-    d(m(x..)) = sum_i m(x_1, .., d(x_i), .., x_n).
+    d(m(x..)) = sum_i m(x_1, .., d(x_i), .., x_n). slots, if given, lists
+    the carrier indices each slot ranges over; by default every one.
     """
     dom, cod = t.domain_carrier(), t.codomain_carrier()
     elems = [dom.element_at(i) for i in range(dom.size)]
     images = [t.apply(x) for x in elems]
     for tree in trees:
-        for idxs in itertools.product(range(dom.size), repeat=n):
+        for idxs in itertools.product(*(slots or [range(dom.size)] * n)):
             args = [elems[i] for i in idxs]
             lhs = images[dom.index_of(monomial_eval(t.domain, tree, args))]
             if derivation:
@@ -194,6 +195,30 @@ def first_identity_failure(t, n, trees, derivation):
                 rhs = monomial_eval(t.codomain, tree, [images[i] for i in idxs])
             if lhs != rhs:
                 return tree, tuple(args)
+    return None
+
+
+def additive_on_generators(t):
+    """phi(x + g) = phi(x) + phi(g) for every carrier x and g in {0} and the basis.
+
+    Element-level. Generators of the additive group decide additivity, and
+    an additive map over F_p is linear.
+    """
+    dom = t.domain_carrier()
+    gens = [t.domain.zero()] + t.domain.basis_elements()
+    elems = (dom.element_at(i) for i in range(dom.size))
+    return all(t.apply(x + g) == t.apply(x) + t.apply(g) for x in elems for g in gens)
+
+
+def first_additivity_failure(t):
+    """The first carrier pair (x, y), lexicographically, with phi(x + y) !=
+    phi(x) + phi(y), or None; Element-level."""
+    dom = t.domain_carrier()
+    elems = [dom.element_at(i) for i in range(dom.size)]
+    images = [t.apply(x) for x in elems]
+    for (i, x), (j, y) in itertools.product(enumerate(elems), repeat=2):
+        if t.apply(x + y) != images[i] + images[j]:
+            return x, y
     return None
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from jordankit import Algebra, jordanify, prime_field
+from jordankit import Algebra, jordanify, matrix_units_algebra, prime_field
 
 
 @st.composite
@@ -47,3 +47,15 @@ def spin_factor(p):
         table[0][i][i] = table[i][0][i] = one  # u x = x u = x
     table[1][1][0] = table[2][2][0] = one  # v1 v1 = v2 v2 = u
     return Algebra(f, ("u", "v1", "v2"), table, name=f"spin_f{p}")
+
+
+def m2_plus_f(p):
+    """M2 + F over F_p, jordanified (basis e11, e10, e01, e00, f): the 2x2
+    matrix units of matrix_units_algebra and an idempotent f orthogonal to
+    them. With e = e11 the Peirce dims are (1, 2, 2)."""
+    f = prime_field(p)
+    zero = f.zero()
+    m2 = matrix_units_algebra(f)
+    table = [[[*row, zero] for row in rows] + [[zero] * 5] for rows in m2.table]
+    table.append([[zero] * 5 for _ in range(4)] + [[zero] * 4 + [f.one()]])  # f f = f
+    return jordanify(Algebra(f, (*m2.basis_names, "f"), table, name=f"m2+f_f{p}"))

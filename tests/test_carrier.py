@@ -9,14 +9,16 @@ from jordankit import (
     CarrierInfinite,
     DerivationTable,
     EnumerationTooLarge,
+    MapTable,
     carrier_of,
     multiply,
     prime_field,
 )
-from jordankit.carrier import FiniteCarrier
+from jordankit.carrier import FiniteCarrier, index_dtype
 
 import oracles
 from conftest import diagonal_product_algebra
+from strategies import m2_plus_f
 
 
 def test_carrier_lexicographic_order(kf3):
@@ -77,8 +79,53 @@ def test_every_table_entry_matches_the_oracle(request, which):
                 for x in coords]
     want_add = [[index[tuple((s + t) % p for s, t in zip(x, y))] for y in coords] for x in coords]
     for table, want in ((car.mul, want_mul), (car.add, want_add)):
-        assert table.dtype == np.int64 and table.flags.c_contiguous
+        assert table.dtype == np.uint8 and table.flags.c_contiguous
         assert table.tolist() == want
+
+
+@pytest.mark.parametrize("size, dtype", [
+    (1, np.uint8), (243, np.uint8), (256, np.uint8), (257, np.uint16), (625, np.uint16),
+    (4096, np.uint16), (65536, np.uint16), (65537, np.uint32), (3**11, np.uint32),
+])
+def test_index_dtype_is_the_narrowest_unsigned_type(size, dtype):
+    assert index_dtype(size) == dtype
+
+
+@pytest.mark.parametrize("which, dtype", [
+    ("m2+f-f3", np.uint8), ("f2-dim8", np.uint8), ("kf5", np.uint16), ("f2-zero12", np.uint16),
+])
+def test_tables_are_stored_in_the_index_dtype(request, which, dtype):
+    a = {  # 243, 256, 625 and 4096 elements
+        "m2+f-f3": lambda: m2_plus_f(3),
+        "f2-dim8": lambda: diagonal_product_algebra(prime_field(2), 8),
+        "f2-zero12": lambda: zero_algebra(prime_field(2), 12),
+    }.get(which, lambda: request.getfixturevalue(which))()
+    car = carrier_of(a)
+    reverse = np.arange(car.size)[::-1]
+    m = MapTable(a, a, table=reverse)
+    assert m.index_table().dtype == dtype and m.index_table().tolist() == reverse.tolist()
+    if car.size <= 625:  # the pair tables at N = 4096 are built in CI
+        assert car.mul.dtype == car.add.dtype == dtype
+        assert car.add[car.size - 1, 0] == car.size - 1
+
+
+def test_f2_tables_at_the_uint8_limit():
+    # F2^8 with the componentwise product: the bits of an index are its
+    # coordinates, so sums are x ^ y and products x & y, up to index 255
+    car = carrier_of(diagonal_product_algebra(prime_field(2), 8))
+    x, y = np.indices((256, 256))
+    assert np.array_equal(car.add, x ^ y) and np.array_equal(car.mul, x & y)
+
+
+def test_map_into_a_carrier_past_the_pair_tables():
+    # 3^11 indices need uint32; a function table into that carrier builds no pair table
+    big = zero_algebra(prime_field(3), 11)
+    m = MapTable(diagonal_product_algebra(prime_field(3), 1), big, table=[0, 1, 3**11 - 1])
+    assert m.index_table().dtype == np.uint32 and m.index_table()[-1] == 3**11 - 1
+    car = carrier_of(big)
+    with pytest.raises(EnumerationTooLarge):
+        car.mul
+    assert "mul" not in vars(car) and "add" not in vars(car)
 
 
 def test_table_build_peak_memory(kf5):

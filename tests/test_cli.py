@@ -507,16 +507,22 @@ ONE_DIM_F3 = {"field": {"type": "prime", "p": 3}, "dim": 1, "basis": ["b0"], "pr
     ("map", {"matrix": [TEXT_5000]}),
     ("map", {"matrix": [[TEXT_5000] * 4] * 4}),
     ("field", TEXT_5000),
+    # past the interpreter's integer digit limit, which json.dumps would refuse
+    ("algebra-text", json.dumps(ONE_DIM_F3).replace('"dim": 1', '"dim": ' + "1" * 5000)),
 ], ids=["negative-p", "field-type", "field-spec", "dim", "basis", "basis-name", "name",
         "name-utf8", "products",
         "product-indices", "product-entry", "prime-scalar", "rational-scalar", "entries",
-        "entry-keys", "entry-without-out", "matrix-rows", "matrix-scalar", "field-argv"])
+        "entry-keys", "entry-without-out", "matrix-rows", "matrix-scalar", "field-argv",
+        "dim-digits"])
 def test_long_input_is_cut_in_the_error_line(files, tmp_path, capsys, kind, data):
-    # each message shows at most about 80 characters of what it echoes
-    path = tmp_path / f"long.{kind}"
-    path.write_text(json.dumps(data))
+    # each message shows at most about 80 characters of what it echoes; the
+    # file's path is long enough to be cut too
+    path = tmp_path / ("d" * 60) / f"long.{kind}"
+    path.parent.mkdir()
+    path.write_text(data if kind == "algebra-text" else json.dumps(data))
     argv = {
         "algebra": ["check", str(path)],
+        "algebra-text": ["check", str(path)],
         "map": ["check-derivation", files["k_f3"], str(path), "--n", "2"],
         "field": ["example", "m2", "--field", str(data), "--out", str(tmp_path / "x.alg")],
     }[kind]

@@ -18,6 +18,7 @@ from jordankit import (
     NotDerivation,
     PreconditionViolated,
     TorsionViolation,
+    Verdict,
     carrier_of,
     canonical_tree,
     derivation_peirce_check,
@@ -91,21 +92,56 @@ def test_swapped_entries_not_additive(kf3):
     assert m.apply(x + y) != m.apply(x) + m.apply(y)
 
 
-def test_tables_are_int32_copies(kf5):
-    # one table format whatever the input; 625^2 pair-table indices fit
+def test_tables_are_index_dtype_copies(kf5):
+    # one table format whatever the input: uint16 holds K/F5's 625 indices
     car = carrier_of(kf5)
     perm = np.random.default_rng(0).permutation(car.size)
     for dtype in (np.int64, np.int32, np.uint16):
         source = perm.astype(dtype)
         m = MapTable(kf5, kf5, table=source)
         source[0] = source[1]  # the map keeps its own copy
-        assert m.index_table().dtype == np.int32
+        assert m.index_table().dtype == np.uint16
         assert m.index_table().tolist() == perm.tolist()
-    assert MapTable.identity(kf5).index_table().dtype == np.int32
+    assert MapTable.identity(kf5).index_table().dtype == np.uint16
     identity = MapTable(kf5, kf5, table=np.arange(car.size))
     assert is_additive(identity) and is_n_multiplicative(identity, 2)
     assert not is_additive(MapTable(kf5, kf5, table=perm))
     assert is_n_derivation(DerivationTable.from_map(MapTable.zero(kf5)), 2)
+
+
+def wide_kf5_table(kf5, kind: str) -> MapTable:
+    """A K/F5 map whose images pass 255, stored as uint16."""
+    car = carrier_of(kf5)
+    f, b = kf5.field, kf5.basis_elements()
+    table = {
+        "identity": lambda: np.arange(car.size),
+        "double": lambda: car.scalar_map(f.from_int(2)),
+        "inner": lambda: inner_derivation(kf5, b[0], b[1]).index_table(),
+        "permutation": lambda: np.random.default_rng(1).permutation(car.size),
+    }[kind]()
+    return MapTable(kf5, kf5, table=table)
+
+
+@pytest.mark.parametrize("kind", ["identity", "double", "inner", "permutation"])
+def test_wide_tables_agree_with_the_element_path(kf5, kind):
+    # uint16 images times N = 625 wrap past 104: the table route must widen
+    # its index arithmetic (maps._table_op) to agree with the Element path.
+    # An additive map is linear, so the bilinear n = 2 identities are decided
+    # on the basis pairs; a failing map's first witness must match.
+    t = wide_kf5_table(kf5, kind)
+    assert t.index_table().dtype == np.uint16 and t.index_table().max() > 255
+    additive = oracles.additive_on_generators(t)
+    want = None if additive else oracles.first_additivity_failure(t)
+    assert is_additive(t) == Verdict(additive, want)
+    basis = [carrier_of(kf5).basis_index(i) for i in range(kf5.dim)]
+    tree = canonical_tree(2)
+    for derivation, predicate in ((False, is_n_multiplicative), (True, is_n_derivation)):
+        verdict = predicate(t, 2)
+        if additive and oracles.first_identity_failure(t, 2, [tree], derivation,
+                                                       slots=[basis, basis]) is None:
+            assert verdict.ok
+        else:
+            assert verdict.witness == oracles.first_identity_failure(t, 2, [tree], derivation)
 
 
 def test_is_bijective(kf3):

@@ -27,7 +27,7 @@ from jordankit.linalg import rref
 
 import oracles
 from conftest import diagonal_product_algebra
-from strategies import spin_factor, t2_algebra
+from strategies import m2_plus_f, spin_factor, t2_algebra
 
 
 def table_set(stream):
@@ -488,8 +488,10 @@ def half_unit_plus_v1(a):
          (1, 0, 1), False, 8, 6, 1),
         (lambda: spin_factor(3), half_unit_plus_v1, (1, 1, 1), True, 8, 0, 3),
         (lambda: spin_factor(5), half_unit_plus_v1, (1, 1, 1), True, 8, 0, 5),
+        # 243 elements, uint8 tables; condition (i) fails: J_1/2 kills f in J0
+        (lambda: m2_plus_f(3), lambda a: a.basis_element(0), (1, 2, 2), False, 48, 0, 27),
     ],
-    ids=["t2-f3", "t2-f5", "f5xf5", "spin-f3", "spin-f5"],
+    ids=["t2-f3", "t2-f5", "f5xf5", "spin-f3", "spin-f5", "m2+f-f3"],
 )
 def test_theorem_as_oracle_at_n2(make, idempotent, dims, conditions, n_maps,
                                  n_nonadditive_maps, n_derivs):
