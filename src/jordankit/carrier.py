@@ -3,17 +3,18 @@
 Enumerates all p^dim elements in lexicographic coordinate order, which
 fixes the deterministic scan order used for witnesses everywhere, and
 builds N x N index tables (sums, products) so exhaustive predicates run
-as vectorized gathers. No build makes an N x N x dim array: coordinate k
-of the products is one matmul, ((X @ T[:, :, k]) % p) @ X.T for coordinates
-X and structure constants T, weighted by p^(dim-1-k) and added into the
-table; sums carry nothing between digits, so the sum table nests dim
-copies of F_p's p x p one.
+as vectorized gathers. No build makes an N x N x dim array or an N x N
+int64 one. Sums carry nothing between digits, so the sum table nests dim
+copies of F_p's p x p one. Products are bilinear, so the product table is
+built from the sum table one leading coordinate at a time: for
+x = a e_i + r, with r in the span of the later coordinates, the row of x
+is add[a (e_i y), r y], a flat gather through add of an already built row.
 
 Every index table, these and the maps module's function tables, holds
 its indices in index_dtype(N), the narrowest unsigned type for N
 elements: uint8 up to 256, uint16 up to 65 536 (both K/F5 tables take
 1.56 MB, not the 6.25 MB of int64), uint32 above. Index arithmetic
-x * N + y is done in intp by the one op that does it, maps._table_op.
+x * N + y on a stored table is done in intp by maps._table_op.
 """
 
 from __future__ import annotations
@@ -74,14 +75,17 @@ class FiniteCarrier:
     def mul(self) -> np.ndarray:
         """N x N table of product indices."""
         self._require_pair_tables()
-        p, x, t = self.p, self.coords, np.array(self.algebra.table, dtype=np.int64)
-        table = np.zeros((self.size, self.size), dtype=index_dtype(self.size))
-        part = np.empty(table.shape, dtype=np.int64)
-        for k, weight in enumerate(self.powers):
-            np.matmul((x @ t[:, :, k]) % p, x.T, out=part)
-            part %= p
-            part *= weight
-            np.add(table, part, out=table, casting="unsafe")  # every partial sum is below N
+        p, n, t = self.p, self.size, np.array(self.algebra.table, dtype=np.int64)
+        scaled = np.stack([self.scalar_map(a) for a in range(p)]) * n  # a x, as a row of flat add
+        table = np.zeros((1, n), dtype=index_dtype(n))  # the row of 0
+        for i in reversed(range(self.dim)):  # prepend coordinate i, the most significant
+            lead = scaled[:, self.encode(self.coords @ t[i])]  # a (e_i y), one row per a
+            m = len(table)
+            rows = np.empty((p * m, n), dtype=table.dtype)
+            for a in range(p):  # (a e_i + r) y = a (e_i y) + r y
+                # every index is below N^2; unlike "raise", "clip" writes out unbuffered
+                self.add.take(lead[a] + table, out=rows[a * m:(a + 1) * m], mode="clip")
+            table = rows
         return table
 
     @cached_property

@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 
+import random
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -21,6 +23,28 @@ def f3_algebras(draw, max_dim=3, commutative=None, p=3):
         upper = np.arange(dim)[:, None, None] <= np.arange(dim)[None, :, None]
         c = np.where(upper, c, c.transpose(1, 0, 2))
     return Algebra(prime_field(p), tuple(f"b{i}" for i in range(dim)), c.tolist())
+
+
+def random_algebra(p, dim, seed):
+    """A seeded structure table over F_p, every constant drawn uniformly:
+    dense, and in general neither commutative nor associative."""
+    rng = random.Random(seed)
+    f = prime_field(p)
+    table = [[[f.from_int(rng.randrange(p)) for _ in range(dim)] for _ in range(dim)]
+             for _ in range(dim)]
+    return Algebra(f, tuple(f"b{i}" for i in range(dim)), table, name=f"random_f{p}^{dim}")
+
+
+def rescaled(a, scalars):
+    """a in the basis s_i b_i for nonzero scalars s_i: the structure constants
+    become s_i s_j c_ij^k / s_k. An element with coordinates x_k in the old
+    basis has coordinates x_k / s_k in the new one."""
+    f, d = a.field, a.dim
+    s = [f.from_int(c) for c in scalars]
+    inv = [f.inv(c) for c in s]
+    table = [[[f.mul(f.mul(s[i], s[j]), f.mul(a.table[i][j][k], inv[k])) for k in range(d)]
+              for j in range(d)] for i in range(d)]
+    return Algebra(f, a.basis_names, table, name=f"{a.name}_rescaled")
 
 
 def t2_algebra(p):

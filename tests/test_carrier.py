@@ -18,7 +18,7 @@ from jordankit.carrier import FiniteCarrier, index_dtype
 
 import oracles
 from conftest import diagonal_product_algebra
-from strategies import m2_plus_f
+from strategies import m2_plus_f, random_algebra
 
 
 def test_carrier_lexicographic_order(kf3):
@@ -64,12 +64,16 @@ def zero_algebra(field, dim):
     return Algebra(field, tuple(f"z{i}" for i in range(dim)), table)
 
 
-@pytest.mark.parametrize("which", ["m2f3", "kf3", "f3xf3", "f5-dim1", "f3-zero3"])
+@pytest.mark.parametrize(
+    "which", ["m2f3", "kf3", "f3xf3", "f5-dim1", "f3-zero3", "m2f5", "f7-random3"])
 def test_every_table_entry_matches_the_oracle(request, which):
-    # m2f3 is noncommutative, so a table holding y x for x y fails here
+    # m2f3, m2f5 and f7-random3 are noncommutative, so a table holding y x
+    # for x y fails here; the last two have uint16 tables (625 and 343
+    # elements), where a digit-order error past index 255 would show
     a = {
         "f5-dim1": lambda: diagonal_product_algebra(prime_field(5), 1),
         "f3-zero3": lambda: zero_algebra(prime_field(3), 3),
+        "f7-random3": lambda: random_algebra(7, 3, seed=7),
     }.get(which, lambda: request.getfixturevalue(which))()
     car = carrier_of(a)
     p = car.p
@@ -79,7 +83,7 @@ def test_every_table_entry_matches_the_oracle(request, which):
                 for x in coords]
     want_add = [[index[tuple((s + t) % p for s, t in zip(x, y))] for y in coords] for x in coords]
     for table, want in ((car.mul, want_mul), (car.add, want_add)):
-        assert table.dtype == np.uint8 and table.flags.c_contiguous
+        assert table.dtype == index_dtype(car.size) and table.flags.c_contiguous
         assert table.tolist() == want
 
 
@@ -104,9 +108,23 @@ def test_tables_are_stored_in_the_index_dtype(request, which, dtype):
     reverse = np.arange(car.size)[::-1]
     m = MapTable(a, a, table=reverse)
     assert m.index_table().dtype == dtype and m.index_table().tolist() == reverse.tolist()
-    if car.size <= 625:  # the pair tables at N = 4096 are built in CI
-        assert car.mul.dtype == car.add.dtype == dtype
-        assert car.add[car.size - 1, 0] == car.size - 1
+    assert car.mul.dtype == car.add.dtype == dtype
+    assert car.add[car.size - 1, 0] == car.size - 1
+
+
+def test_tables_at_the_pair_table_cap():
+    # a dense random algebra over F2 with dim 12 (N = 4096): the zero
+    # algebra cannot catch a wrong product
+    a = random_algebra(2, 12, seed=12)
+    car = carrier_of(a)
+    assert car.mul.shape == car.add.shape == (4096, 4096)
+    assert car.mul.dtype == car.add.dtype == np.uint16
+    rng = random.Random(12)
+    for _ in range(2000):
+        i, j = rng.randrange(car.size), rng.randrange(car.size)
+        x, y = car.coords[i].tolist(), car.coords[j].tolist()
+        assert car.coords[car.mul[i, j]].tolist() == [c % 2 for c in oracles.raw_multiply(a, x, y)]
+        assert car.coords[car.add[i, j]].tolist() == [(s + t) % 2 for s, t in zip(x, y)]
 
 
 def test_f2_tables_at_the_uint8_limit():
@@ -138,6 +156,19 @@ def test_table_build_peak_memory(kf5):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * car.size**2 * 8
+
+
+def test_product_build_peak_memory(kf5):
+    # with the sums built, the products need less than one N x N int64 array
+    car = FiniteCarrier(kf5)
+    car.add
+    tracemalloc.start()
+    try:
+        car.mul
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < car.size**2 * 8
 
 
 def test_apply_matrix_and_scalar_map(kf3):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from jordankit import (
     is_additive,
     is_n_derivation,
     is_n_multiplicative,
+    jordanify,
+    matrix_units_algebra,
     peirce_decompose,
     prime_field,
 )
@@ -27,7 +30,7 @@ from jordankit.linalg import rref
 
 import oracles
 from conftest import diagonal_product_algebra
-from strategies import m2_plus_f, spin_factor, t2_algebra
+from strategies import m2_plus_f, rescaled, spin_factor, t2_algebra
 
 
 def table_set(stream):
@@ -479,6 +482,27 @@ def half_unit_plus_v1(a):
     return a.element([half, half, a.field.zero()])
 
 
+def unit_diagonal(p, dim, seed):
+    """Seeded nonzero scalars s_i: an invertible diagonal change of basis."""
+    rng = random.Random(seed)
+    return [rng.randrange(1, p) for _ in range(dim)]
+
+
+def in_rescaled_basis(coords, scalars):
+    """The element with these coordinates in the basis b_i, written in the basis
+    s_i b_i of strategies.rescaled: coordinates x_i / s_i. The 0/1 sweep may
+    not find it there."""
+    def element(a):
+        f = a.field
+        return a.element([f.mul(f.from_int(c), f.inv(f.from_int(s)))
+                          for c, s in zip(coords, scalars)])
+    return element
+
+
+K3_SCALARS = unit_diagonal(3, 4, seed=0)
+T2_SCALARS = unit_diagonal(5, 3, seed=0)
+
+
 @pytest.mark.parametrize(
     "make,idempotent,dims,conditions,n_maps,n_nonadditive_maps,n_derivs",
     [
@@ -490,8 +514,14 @@ def half_unit_plus_v1(a):
         (lambda: spin_factor(5), half_unit_plus_v1, (1, 1, 1), True, 8, 0, 5),
         # 243 elements, uint8 tables; condition (i) fails: J_1/2 kills f in J0
         (lambda: m2_plus_f(3), lambda a: a.basis_element(0), (1, 2, 2), False, 48, 0, 27),
+        # isomorphic copies under a seeded diagonal change of basis: every count is invariant
+        (lambda: rescaled(jordanify(matrix_units_algebra(prime_field(3))), K3_SCALARS),
+         in_rescaled_basis((1, 0, 0, 0), K3_SCALARS), (1, 2, 1), True, 48, 0, 27),
+        (lambda: rescaled(t2_algebra(5), T2_SCALARS),
+         in_rescaled_basis((0, 0, 1), T2_SCALARS), (1, 1, 1), True, 40, 0, 25),
     ],
-    ids=["t2-f3", "t2-f5", "f5xf5", "spin-f3", "spin-f5", "m2+f-f3"],
+    ids=["t2-f3", "t2-f5", "f5xf5", "spin-f3", "spin-f5", "m2+f-f3", "kf3-rescaled",
+         "t2-f5-rescaled"],
 )
 def test_theorem_as_oracle_at_n2(make, idempotent, dims, conditions, n_maps,
                                  n_nonadditive_maps, n_derivs):
