@@ -20,7 +20,7 @@ from .algebra import (
     matrix_units_algebra,
     save_algebra,
 )
-from .errors import JordankitError, shown
+from .errors import JordankitError, NoncommutativeDomain, shown
 from .peirce import (
     _component_parts_zero,
     check_theorem_conditions,
@@ -95,6 +95,16 @@ def _parse_field_spec(text: str):
     raise JordankitError(f"bad field spec {shown(text)}: use 'rational' or 'p=<prime>'")
 
 
+def _decompose(command: str, a, e, symmetrized: bool = False):
+    """peirce_decompose, with a noncommutative algebra refused in the terms of the CLI."""
+    try:
+        return peirce_decompose(a, e, allow_noncommutative=symmetrized)
+    except NoncommutativeDomain:
+        hint = ("pass --symmetrized to decompose with the symmetrized operator"
+                if command == "peirce" else f"{command} needs a commutative algebra")
+        raise JordankitError(f"algebra is noncommutative; {hint}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -134,7 +144,7 @@ def _cmd_peirce(args) -> RunReport:
     rep.info(_algebra_line(a))
     e = a.parse_element(args.idempotent)
     rep.info(f"idempotent: {e.text()} class={idempotent_class(a, e)}")
-    dec = peirce_decompose(a, e, allow_noncommutative=args.symmetrized)
+    dec = _decompose("peirce", a, e, args.symmetrized)
     d1, dh, d0 = dec.dims
     rep.info(f"dims: J1={d1} Jhalf={dh} J0={d0}")
     for label, basis in (("J1", dec.basis1), ("Jhalf", dec.basis_half), ("J0", dec.basis0)):
@@ -222,7 +232,7 @@ def _cmd_reduce_derivation(args) -> RunReport:
     rep.verdict(f"{args.n}-derivation (canonical)", v.ok)
     if not v.ok:
         return rep.finish()
-    dec = peirce_decompose(a, e)
+    dec = _decompose("reduce-derivation", a, e)
     de = d.apply(e)
     rep.info(f"d(e): {de.text()}")
     in_half = _component_parts_zero(dec, de, ("1", "0"))
@@ -255,7 +265,7 @@ def _cmd_audit(args) -> RunReport:
             )
         e = hits[0].element
         rep.info(f"idempotent: {e.text()} (auto)")
-    dec = peirce_decompose(a, e)
+    dec = _decompose("audit", a, e)
     budget = SearchBudget(
         max_nodes=args.budget_nodes,
         max_seconds=args.budget_seconds,

@@ -82,6 +82,30 @@ def test_peirce_requires_symmetrized_for_m2(files, capsys):
     assert report.exit_code == 0
 
 
+def test_noncommutative_refusals_name_cli_options(tmp_path, capsys):
+    # the library's refusal names its allow_noncommutative keyword; the
+    # CLI names its own option, or says that the command has none
+    m3 = str(tmp_path / "m3.alg")
+    zero = tmp_path / "zero.map"
+    zero.write_text(json.dumps({"matrix": [["0"] * 4] * 4}))
+    run(["example", "m2", "--field", "p=3", "--out", m3])
+    capsys.readouterr()
+    for argv, line in (
+        (["peirce", m3, "--idempotent", "1,0,0,0"],
+         "pass --symmetrized to decompose with the symmetrized operator"),
+        (["audit", m3, "--n", "2", "--mode", "maps", "--idempotent", "1,0,0,0"],
+         "audit needs a commutative algebra"),
+        (["audit", m3, "--n", "2", "--mode", "derivations"],
+         "audit needs a commutative algebra"),
+        (["reduce-derivation", m3, str(zero), "--idempotent", "1,0,0,0", "--n", "2"],
+         "reduce-derivation needs a commutative algebra"),
+    ):
+        assert run(argv).exit_code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: algebra is noncommutative; {line}"]
+
+
 def test_peirce_bad_idempotent(files):
     report = run(["peirce", files["k_q"], "--idempotent", "0,1,0,0"])
     assert report.exit_code == 2

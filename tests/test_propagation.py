@@ -10,6 +10,8 @@ tables in the same order, expand the same nodes and end in the same
 budget state with either one, and also when every plan is rebuilt.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from jordankit import (
     Algebra,
     SearchBudget,
+    carrier_of,
     enumerate_multiplicative_bijections,
     enumerate_n_derivations,
     prime_field,
@@ -229,6 +232,97 @@ def test_plans_are_value_independent(algebra, kind, n):
     rebuilt._plans.clear()  # the plan that seeded d(0) = 0
     assert run(fresh()) == run(rebuilt)
     assert not rebuilt._plans
+
+
+def full_gather_plan(search, key):
+    """The fields of the plan keyed by key, from the whole top-level gather.
+
+    The products are laid out one by one in semi-naive order, and the
+    gather is cut after the first product that completes the table.
+    Returns the fields as lists and whether the gather was cut.
+    """
+    old, ts = key
+    ts = [np.frombuffer(t, dtype=np.int64).tolist() for t in ts]
+    top = search.n - 2
+    base, level_t = ts[0], ts[top]
+    products = [(e, t) for e in range(old[0], len(base)) for t in range(old[top])]
+    products += [(e, t) for e in range(len(base)) for t in range(old[top], len(level_t))]
+    column = {x: i for i, x in enumerate(base)}
+    need = search.size - len(base)
+    checked, target, free, firsts = [], [], [], {}
+    for e, t in products:
+        z = int(search.dom.mul[base[e], level_t[t]])
+        if z in column:
+            checked.append((e, t))
+            target.append(column[z])
+            continue
+        free.append((e, t, z))
+        firsts.setdefault(z, len(free) - 1)
+        if len(firsts) == need:
+            break
+    elements = sorted(firsts)
+    order = [firsts[z] for z in elements]
+    order += sorted(set(range(len(free))) - set(order))
+    forced = [free[j][:2] for j in order]
+
+    def columns(pairs):
+        return [[base[e] for e, _ in pairs], [e for e, _ in pairs],
+                [level_t[t] for _, t in pairs], [t for _, t in pairs]]
+
+    fields = (*columns(checked), target, *columns(forced),
+              [elements.index(free[j][2]) for j in order], elements)
+    return fields, len(firsts) == need
+
+
+def assert_plans_match_full_gather(search):
+    """Every plan the search built equals the full-gather one, field for
+    field and dtype for dtype; returns whether each was cut."""
+    cut = []
+    for key, plan in search._plans.items():
+        expected, complete = full_gather_plan(search, key)
+        got = (plan.checked.ex, plan.checked.ex_pos, plan.checked.t, plan.checked.t_pos,
+               plan.target, plan.forced.ex, plan.forced.ex_pos, plan.forced.t,
+               plan.forced.t_pos, plan.group, plan.elements)
+        assert [a.tolist() for a in got] == list(expected)
+        assert [a.dtype for a in got[:-1]] == [np.dtype(np.int32)] * 10
+        cut.append(complete)
+    return cut
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(f3_algebras(), st.sampled_from(["bijections", "derivations"]), st.integers(2, 3))
+def test_plans_match_the_full_gather(algebra, kind, n):
+    # the block scan stops at the product that completes the table; the
+    # first closure of a search, from one base element, never completes it
+    search = make_search(algebra, kind, n, budget=SearchBudget(max_nodes=150))
+    run(search)
+    assert False in assert_plans_match_full_gather(search)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["bijections", "derivations"])
+def test_kf3_plans_match_the_full_gather(kf3, kind, n):
+    search = make_search(kf3, kind, n)
+    run(search)
+    assert set(assert_plans_match_full_gather(search)) == {False, True}
+
+
+@pytest.mark.parametrize("kind,tables,nodes", [("derivations", 125, 4025),
+                                               ("bijections", 240, 7376)])
+def test_search_peak_memory(kf5, kind, tables, nodes):
+    # the last plans of a K/F5 search are cut after about 5% of their
+    # 321 200 top-level products; laying the whole gather out peaked at 9.2 MiB.
+    # The tables are counted, not kept: as tuples they would take 3.6 MiB
+    carrier_of(kf5).mul
+    search = make_search(kf5, kind, 2)
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in search)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, search.nodes, search.exhausted) == (tables, nodes, True)
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n,plans", [(2, 12), (3, 9)])
