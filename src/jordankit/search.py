@@ -14,42 +14,50 @@ The closure is semi-naive and runs in rounds. Each round takes the
 images forced in the last one as new base pairs and gathers, level by
 level, only the products that involve something new: (new x) x (old
 level-k pairs) and (all x) x (new level-k pairs), where a level's new
-pairs include those the level below found in the same round. The top
-level's products force images. A round fails when a forced image
-clashes with an assigned one, when one element is forced to two images,
-or, for bijections, when an image is taken twice. The closure is a
-least fixpoint and a conflict is a property of the closed set, so
-neither depends on the order of computation.
+pairs include those the level below found in the same round. At level 1
+over commutative carriers x t and t x are one product, and both node
+rules force one image on it, so the second block there is the triangle
+(new x) x (new t <= x): each unordered pair once. A noncommutative
+domain or codomain keeps both orders. The top level's products force
+images. A round fails when a forced image clashes with an assigned one,
+when one element is forced to two images, or, for bijections, when an
+image is taken twice. The closure is a least fixpoint and a conflict is
+a property of the closed set, so neither depends on the order of
+computation.
 
-Which elements a round touches does not depend on the value v tried
-for the branching element x: a product z = mul[x, t] is a domain
-product, an element is forced exactly when it is an unassigned z, and
-the stop rules count elements. So the top-level gather of a round
-splits into a domain plan and a value side. The plan (_Round, built
-once per state and cached on the search) lists the operand positions of
-every product, the products that land on an assigned element and are
-checked against its image, and, for the rest, which forced element each
-one hits, with its first occurrence. A round that completes the table
-needs its gather only up to the product that completes it, so the plan
-scans the products in blocks, the first of the N - |base| products that
-completing the table takes and each later one twice as long, and lays
-out none past that product: the last plan of a K/F5 n = 2 derivation
-search stops after 15 040 of its 321 200 products. The value side runs
-the rounds of a closure for all candidates of x at once, one row per
-candidate over shared columns, and drops a row at its first conflict;
-each surviving row gives the child state as it is and is searched below
-without being closed again. A DFS state (_State) is a value that nothing
-changes, so nothing is undone on the way back, and DFS runs from sibling
-states of one search may interleave.
+Which elements a round touches does not depend on the value v tried for
+the branching element x: a product z = mul[x, t] is a domain product, an
+element is forced exactly when it is an unassigned z, and the stop rules
+count elements. So the top-level gather of a round splits into a domain
+plan and a value side. The plan (_Round, built once per state and cached
+on the search) lists the operand positions of every product, with the
+first occurrence of each forced element ahead of the rest, and for each
+product the base column its image must equal: the forced elements take
+the columns after the base, and a product that lands on an assigned
+element is checked against that element's column. A round that completes
+the table needs its gather only up to the product that completes it, so
+the plan scans the products in blocks, the first of the N - |base|
+products that completing the table takes and each later one twice as
+long, and lays out none past that product: the last plan of a K/F5 n = 2
+derivation search stops after 15 040 of its 160 820 products. The value
+side runs the rounds of a closure for all candidates of x at once, one
+row per candidate over shared columns. A round evaluates the node rule
+once per product and row: the images of the first occurrences extend the
+row's columns, every image is compared with the column the plan names,
+and a row is dropped at its first conflict. Each surviving row gives the
+child state as it is and is searched below without being closed again. A
+DFS state (_State) is a value that nothing changes, so nothing is undone
+on the way back, and DFS runs from sibling states of one search may
+interleave.
 
 The candidates of x are prefiltered in the same terms: with the assigned
 elements followed by x as the base, the level-1 gather of x as the one
-new base element holds x y, y x and x x for every assigned y. The
-products that land on a base element are checked against its image, one
-row per value tried, with the value in x's column. Which products those
-are depends only on the base, so they are cached per base, apart from
-the plans: a plan's gather is cut once the table is complete, and the
-prefilter checks every product.
+new base element holds x y and x x for every assigned y, and y x too
+over noncommutative carriers. The products that land on a base element
+are checked against its image, one row per value tried, with the value
+in x's column. Which products those are depends only on the base, so
+they are cached per base, apart from the plans: a plan's gather is cut
+once the table is complete, and the prefilter checks every product.
 
 For n >= 3 a state also holds the t of the pairs at each level >= 2;
 s is per row. A new pair that repeats an earlier one, the same t and row
@@ -75,6 +83,7 @@ tuple (see maps).
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -143,28 +152,58 @@ class _Columns:
         return _Columns(self.ex[cols], self.ex_pos[cols], self.t[cols], self.t_pos[cols])
 
 
+def _blocks(base: np.ndarray, old_base: int, level_t: np.ndarray, old: int, unordered: bool):
+    """The two blocks of a semi-naive gather, as (x0, t0, w, size).
+
+    Row r of a block is the x at base column x0 + r times the pairs at
+    columns t0 .. t0 + w - 1, or t0 .. t0 + r where w is None.
+    """
+    new = base.size - old_base
+    yield old_base, 0, old, new * old
+    if unordered:
+        yield old_base, old, None, new * (new + 1) // 2
+    else:
+        yield 0, old, level_t.size - old, base.size * (level_t.size - old)
+
+
+def _triangle_row(a: int) -> int:
+    """The row of product a in a triangle whose row r holds r + 1 products."""
+    return (math.isqrt(8 * a + 1) - 1) // 2
+
+
 def _semi_naive(base: np.ndarray, old_base: int, level_t: np.ndarray, old: int,
-                lo: int = 0, hi: int = sys.maxsize) -> _Columns:
+                lo: int = 0, hi: int = sys.maxsize, unordered: bool = False) -> _Columns:
     """The products (new x) x (old pairs), then (all x) x (new pairs), row-major,
     from product lo up to hi (all of them by default).
 
     The first old_base base elements and the first old pairs, whose t are
-    level_t, are old. Only the rows of x that hold a product in the range
-    are laid out, so the full range costs one repeat and one tile per
-    block, as a plain layout would. The arrays are int32: a plan keeps its
-    columns for the whole search.
+    level_t, are old. An unordered gather is one at level 1 (level_t is
+    base and old is old_base) over commutative carriers, where x t and t x
+    are one product with one forced image: its second block is the
+    triangle (new x) x (new t <= x), since (old x) x (new t) mirrors the
+    first block and the new t > x mirror later rows. Only the rows of x
+    that hold a product in the range are laid out, so the full range costs
+    one repeat per block, as a plain layout would. The arrays are int32: a
+    plan keeps its columns for the whole search.
     """
     ex_pos, t_pos = [], []
-    for e0, e1, t0, t1 in ((old_base, base.size, 0, old), (0, base.size, old, level_t.size)):
-        w = t1 - t0
-        n = (e1 - e0) * w
+    for x0, t0, w, n in _blocks(base, old_base, level_t, old, unordered):
         a, b = max(lo, 0), min(hi, n)
         if a < b:
-            r0, r1 = a // w, -(-b // w)
-            ex = np.repeat(np.arange(e0 + r0, e0 + r1, dtype=np.int32), w)
-            t = np.tile(np.arange(t0, t1, dtype=np.int32), r1 - r0)
+            if w is None:
+                r0, r1 = _triangle_row(a), _triangle_row(b - 1) + 1
+                width = np.arange(r0 + 1, r1 + 1, dtype=np.int32)
+                skip = r0 * (r0 + 1) // 2
+                ex = np.repeat(np.arange(x0 + r0, x0 + r1, dtype=np.int32), width)
+                t = (np.arange(ex.size, dtype=np.int32)
+                     - np.repeat(np.cumsum(width, dtype=np.int32) - width, width) + t0)
+            else:
+                r0, r1 = a // w, -(-b // w)
+                skip = r0 * w
+                ex = np.repeat(np.arange(x0 + r0, x0 + r1, dtype=np.int32), w)
+                t = np.tile(np.arange(t0, t0 + w, dtype=np.int32), r1 - r0)
             if b - a < ex.size:  # the range starts or ends inside a row
-                ex, t = ex[a - r0 * w:b - r0 * w], t[a - r0 * w:b - r0 * w]
+                ex, t = ex[a - skip:b - skip], t[a - skip:b - skip]
             ex_pos.append(ex)
             t_pos.append(t)
         lo, hi = lo - n, hi - n
@@ -196,17 +235,17 @@ class _Round:
 
     The gather starts from a state: the base elements (the t of the base
     pairs) and the t of the pairs at each level >= 2, each list split
-    into an old prefix and a new rest. Its products are (new x) x (old
-    pairs) and (all x) x (new pairs) at the top level. checked are the
-    products on a base element, whose base column is target, and forced
-    are the rest: product j hits elements[group[j]], and the first
-    elements.size products are the first occurrences, in order.
+    into an old prefix and a new rest. Its products are those of
+    _semi_naive at the top level. The round's forced elements, in order,
+    take the columns after the base. cols holds the first occurrence of
+    each forced element, in that order, then the other products that force
+    one, then the products on a base element. The image of product j must
+    equal base column want[j]: for a first occurrence that is its own
+    column, which it fills.
     """
 
-    checked: _Columns
-    target: np.ndarray
-    forced: _Columns
-    group: np.ndarray
+    cols: _Columns
+    want: np.ndarray
     elements: np.ndarray
 
 
@@ -249,6 +288,8 @@ class _TableSearch:
         self.cod = cod
         self.size = dom.size
         self.mul = _table_op(dom.mul)
+        # x t and t x force one image when both products commute
+        self.commutative = all(np.array_equal(c.mul, c.mul.T) for c in (dom, cod))
         self.rule = self._rule()
         empty = tuple(np.empty(0, dtype=np.int64) for _ in range(1, n))
         self.root = _State(np.full(self.size, -1, dtype=np.int64), empty, empty)
@@ -288,23 +329,25 @@ class _TableSearch:
         """Gather the top level on domain elements alone.
 
         A product on a base element is a check, and the distinct other
-        ones are the round's forced elements. The products are scanned in
-        blocks for the one that completes the table: the first block holds
-        the N - |base| products that must each force a new element to
-        complete it, and each later block twice the one before. The gather
-        is cut after that product, or used whole if the table stays
-        incomplete. None of this reads an image.
+        ones are the round's forced elements. At n = 2 the top level is
+        level 1, unordered on commutative carriers. The products are
+        scanned in blocks for the one that completes the table: the first
+        block holds the N - |base| products that must each force a new
+        element to complete it, and each later block twice the one before.
+        The gather is cut after that product, or used whole if the table
+        stays incomplete. None of this reads an image.
         """
         top = self.n - 2
         base = ts[0]
         gather = (base, old[0], ts[top], old[top])
-        stop = (base.size - old[0]) * old[top] + base.size * (ts[top].size - old[top])
+        unordered = self.commutative and top == 0
+        stop = sum(n for *_, n in _blocks(*gather, unordered))
         seen = np.zeros(self.size, dtype=bool)
         seen[base] = True
         lo = 0
         missing = width = self.size - base.size
         while True:
-            cols = _semi_naive(*gather, lo, lo + width)
+            cols = _semi_naive(*gather, lo, lo + width, unordered)
             z = self.mul(cols.ex, cols.t)
             if stop - lo <= missing:  # only the last product could complete the table
                 break
@@ -319,21 +362,19 @@ class _TableSearch:
             missing -= fresh.size
             lo, width = lo + width, 2 * width
         if lo:  # the gather used spans blocks: lay it out from the start
-            cols = _semi_naive(*gather, 0, stop)
+            cols = _semi_naive(*gather, 0, stop, unordered)
             z = self.mul(cols.ex, cols.t)
         else:
             cols, z = cols[:stop], z[:stop]
-        assigned = self._base_column(base, z)
-        free = np.flatnonzero(assigned == -1)
-        forced, first = np.unique(z[free], return_index=True)
-        checked = np.flatnonzero(assigned != -1)
+        want = self._base_column(base, z)
+        checked = np.flatnonzero(want != -1)
+        free = np.flatnonzero(want == -1)
+        elements, first, group = np.unique(z[free], return_index=True, return_inverse=True)
+        want[free] = base.size + group
         rest = np.ones(free.size, dtype=bool)
         rest[first] = False
-        order = free[np.concatenate([first, np.flatnonzero(rest)])]
-        return _Round(
-            cols[checked], assigned[checked].astype(np.int32),
-            cols[order], np.searchsorted(forced, z[order]).astype(np.int32), forced,
-        )
+        order = np.concatenate([free[first], free[rest], checked])
+        return _Round(cols[order], want[order].astype(np.int32), elements)
 
     def _base_column(self, base: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The base column each element of z is at, or -1 off the base."""
@@ -378,11 +419,13 @@ class _TableSearch:
         column (the assigned prefix, x, then each round's forced elements)
         and vals[i] the s of the level-(i + 1) pairs. A round gathers each
         level below the top and keeps the new pairs that _distinct keeps,
-        then the top level by its plan. A row is dropped after the first
-        round in which it conflicts: a checked product disagrees with an
-        assigned image, two products force one element to two images, or,
-        for bijections, an image is taken twice. The closure ends when the
-        table is complete or a round forces nothing.
+        then the top level by its plan, in one pass over its products: the
+        images of the first occurrences extend vals[0], and each product's
+        image is compared with the column it must equal. A row is dropped
+        after the first round in which it conflicts: a product on a base
+        element disagrees with its image, two products force one element
+        to two images, or, for bijections, an image is taken twice. The
+        closure ends when the table is complete or a round forces nothing.
         """
         if not len(vs):
             return []
@@ -399,8 +442,9 @@ class _TableSearch:
         vals[0] = np.column_stack([vals[0], vs[live]])
         while live.size and old[0] < ts[0].size < self.size:
             step = max(1, _GATHER_CHUNK // live.size)
-            for i in range(top):
-                cols = _semi_naive(ts[0], old[0], ts[i], old[i])
+            for i in range(top):  # level 1 is the one unordered level
+                cols = _semi_naive(ts[0], old[0], ts[i], old[i],
+                                   unordered=self.commutative and not i)
                 s = np.empty((live.size, len(cols)), dtype=np.int64)
                 for j in range(0, len(cols), step):
                     s[:, j:j + step] = self._targets(cols[j:j + step], vals, i)
@@ -408,23 +452,21 @@ class _TableSearch:
                     np.concatenate([ts[i + 1], self.mul(cols.ex, cols.t)]),
                     np.concatenate([vals[i + 1], s], axis=1), old[i + 1])
             rnd = self._plan(ts, old)
+            ext = np.empty((live.size, ts[0].size + rnd.elements.size), dtype=np.int64)
+            ext[:, :ts[0].size] = vals[0]
+            vals[0], images = ext, ext[:, ts[0].size:]
             dead = np.zeros(live.size, dtype=bool)
-            for j in range(0, len(rnd.checked), step):
-                have = vals[0].take(rnd.target[j:j + step], axis=1)
-                dead |= (self._targets(rnd.checked[j:j + step], vals, top) != have).any(axis=1)
-            images = np.empty((live.size, rnd.elements.size), dtype=np.int64)
-            for j in range(0, len(rnd.forced), step):
-                t = self._targets(rnd.forced[j:j + step], vals, top)
+            for j in range(0, len(rnd.cols), step):
+                t = self._targets(rnd.cols[j:j + step], vals, top)
                 firsts = images[:, j:j + step]
                 firsts[...] = t[:, :firsts.shape[1]]
-                dead |= (t != images.take(rnd.group[j:j + step], axis=1)).any(axis=1)
+                dead |= (t != ext.take(rnd.want[j:j + step], axis=1)).any(axis=1)
             if self.bijective:
                 dead |= self._taken(owner, live, images, ts[0].size)
             if dead.any():
-                live, images, vals = live[~dead], images[~dead], [v[~dead] for v in vals]
+                live, vals = live[~dead], [v[~dead] for v in vals]
             old = [t.size for t in ts]
             ts[0] = np.concatenate([ts[0], rnd.elements])
-            vals[0] = np.concatenate([vals[0], images], axis=1)
         added = [t[p.size:] for t, p in zip(ts, state.ts)]
         vals = [v[:, p.size:].copy() for v, p in zip(vals, state.ts)]
         rows = [None] * vs.size
@@ -461,7 +503,7 @@ class _TableSearch:
         key = base.tobytes()
         check = self._prefilters.get(key)
         if check is None:
-            cols = _semi_naive(base, m, base, m)
+            cols = _semi_naive(base, m, base, m, unordered=self.commutative)
             target = self._base_column(base, self.mul(cols.ex, cols.t))
             checked = np.flatnonzero(target != -1)
             check = self._prefilters[key] = (cols[checked], target[checked])

@@ -79,6 +79,18 @@ def test_small_and_noncommutative_match_reference(request, name, n, kind):
     assert exhausted
 
 
+@pytest.mark.parametrize("domain,codomain", [("kf3", "m2f3"), ("m2f3", "kf3")])
+def test_one_noncommutative_carrier_keeps_both_orders(request, domain, codomain):
+    # x t and t x force X T and T X, which differ in M2 however the domain
+    # multiplies: a gather over the triangle alone loses those checks
+    search = enumerate_multiplicative_bijections(
+        request.getfixturevalue(domain), request.getfixturevalue(codomain), 2)
+    assert not search.commutative
+    tables, _, exhausted, _ = assert_same_run(search)
+    assert tables == [] and exhausted
+    assert_plans_match_full_gather(search)
+
+
 def test_chunked_gathers_match_reference(kf3, monkeypatch):
     # a tiny chunk splits nearly every gather of the degree-3 closure
     monkeypatch.setattr(search_module, "_GATHER_CHUNK", 7)
@@ -122,7 +134,8 @@ def test_frontier_conflicts_fail_and_leave_the_state(monkeypatch):
         assert state(node) == before  # a refuted row changes nothing
         if conflict.startswith("clash"):
             rnd = search._plan(*search._state(node, x))
-            assert rnd.elements.size == 0 and len(rnd.checked) == 1  # nothing forced, one check
+            # nothing forced, one check: 0 * 0 against the image of 0
+            assert rnd.elements.size == 0 and rnd.want.tolist() == [0]
         elif conflict.startswith("two"):
             assert not search.bijective  # no injectivity test at all
         else:
@@ -238,20 +251,27 @@ def full_gather_plan(search, key):
     """The fields of the plan keyed by key, from the whole top-level gather.
 
     The products are laid out one by one in semi-naive order, and the
-    gather is cut after the first product that completes the table.
-    Returns the fields as lists and whether the gather was cut.
+    gather is cut after the first product that completes the table. At
+    level 1 (n = 2) over commutative carriers, x t and t x are one
+    product: the new x meet the new t <= x only. Returns the fields as
+    lists and whether the gather was cut.
     """
     old, ts = key
     ts = [np.frombuffer(t, dtype=np.int64).tolist() for t in ts]
     top = search.n - 2
     base, level_t = ts[0], ts[top]
+    rows = [search.dom.mul.tolist(), search.cod.mul.tolist()]
+    unordered = top == 0 and all(r == [list(c) for c in zip(*r)] for r in rows)
     products = [(e, t) for e in range(old[0], len(base)) for t in range(old[top])]
-    products += [(e, t) for e in range(len(base)) for t in range(old[top], len(level_t))]
+    if unordered:
+        products += [(e, t) for e in range(old[0], len(base)) for t in range(old[0], e + 1)]
+    else:
+        products += [(e, t) for e in range(len(base)) for t in range(old[top], len(level_t))]
     column = {x: i for i, x in enumerate(base)}
     need = search.size - len(base)
     checked, target, free, firsts = [], [], [], {}
     for e, t in products:
-        z = int(search.dom.mul[base[e], level_t[t]])
+        z = rows[0][base[e]][level_t[t]]
         if z in column:
             checked.append((e, t))
             target.append(column[z])
@@ -263,14 +283,10 @@ def full_gather_plan(search, key):
     elements = sorted(firsts)
     order = [firsts[z] for z in elements]
     order += sorted(set(range(len(free))) - set(order))
-    forced = [free[j][:2] for j in order]
-
-    def columns(pairs):
-        return [[base[e] for e, _ in pairs], [e for e, _ in pairs],
-                [level_t[t] for _, t in pairs], [t for _, t in pairs]]
-
-    fields = (*columns(checked), target, *columns(forced),
-              [elements.index(free[j][2]) for j in order], elements)
+    products = [free[j][:2] for j in order] + checked
+    want = [len(base) + elements.index(free[j][2]) for j in order] + target
+    fields = ([base[e] for e, _ in products], [e for e, _ in products],
+              [level_t[t] for _, t in products], [t for _, t in products], want, elements)
     return fields, len(firsts) == need
 
 
@@ -280,11 +296,10 @@ def assert_plans_match_full_gather(search):
     cut = []
     for key, plan in search._plans.items():
         expected, complete = full_gather_plan(search, key)
-        got = (plan.checked.ex, plan.checked.ex_pos, plan.checked.t, plan.checked.t_pos,
-               plan.target, plan.forced.ex, plan.forced.ex_pos, plan.forced.t,
-               plan.forced.t_pos, plan.group, plan.elements)
+        got = (plan.cols.ex, plan.cols.ex_pos, plan.cols.t, plan.cols.t_pos,
+               plan.want, plan.elements)
         assert [a.tolist() for a in got] == list(expected)
-        assert [a.dtype for a in got[:-1]] == [np.dtype(np.int32)] * 10
+        assert [a.dtype for a in got[:-1]] == [np.dtype(np.int32)] * 5
         cut.append(complete)
     return cut
 
@@ -310,8 +325,9 @@ def test_kf3_plans_match_the_full_gather(kf3, kind, n):
 @pytest.mark.parametrize("kind,tables,nodes", [("derivations", 125, 4025),
                                                ("bijections", 240, 7376)])
 def test_search_peak_memory(kf5, kind, tables, nodes):
-    # the last plans of a K/F5 search are cut after about 5% of their
-    # 321 200 top-level products; laying the whole gather out peaked at 9.2 MiB.
+    # the last plans of a K/F5 search are cut after 15 040 of their
+    # 160 820 top-level products, one per unordered pair; laying out the
+    # 321 200 of both orders whole peaked at 9.2 MiB.
     # The tables are counted, not kept: as tuples they would take 3.6 MiB
     carrier_of(kf5).mul
     search = make_search(kf5, kind, 2)
@@ -405,8 +421,41 @@ def test_plans_are_keyed_by_every_level(kf3):
     swapped = [ts[0], ts[1][::-1].copy()]
     plan = search._plan(ts, old)
     assert search._plan(swapped, old) is not plan
-    assert search._plan(swapped, old).target.tolist() == \
-        search._build_plan(swapped, old).target.tolist()
+    assert search._plan(swapped, old).want.tolist() == \
+        search._build_plan(swapped, old).want.tolist()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 7), st.booleans(), st.data())
+def test_semi_naive_ranges_split_the_gather(old_base, new, level_size, unordered, data):
+    # the block scan and the prefilter lay a gather out range by range;
+    # the unordered one is at level 1, with the base as its pairs
+    base = 3 * np.arange(old_base + new, dtype=np.int64) + 1
+    if unordered:
+        level_t, old = base, old_base
+    else:
+        level_t = 5 * np.arange(level_size, dtype=np.int64) + 2
+        old = data.draw(st.integers(0, level_size))
+    pairs = [(e, t) for e in range(old_base, base.size) for t in range(old)]
+    if unordered:
+        pairs += [(e, t) for e in range(old_base, base.size) for t in range(old_base, e + 1)]
+    else:
+        pairs += [(e, t) for e in range(base.size) for t in range(old, level_t.size)]
+    whole = search_module._semi_naive(base, old_base, level_t, old, unordered=unordered)
+    assert list(zip(whole.ex_pos.tolist(), whole.t_pos.tolist())) == pairs
+    assert whole.ex.tolist() == base[whole.ex_pos].tolist()
+    assert whole.t.tolist() == level_t[whole.t_pos].tolist()
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(pairs)), max_size=4)))
+    bounds = [0, *cuts, len(pairs)]
+    parts = [search_module._semi_naive(base, old_base, level_t, old, lo, hi, unordered)
+             for lo, hi in zip(bounds, bounds[1:])]
+    assert [len(part) for part in parts] == np.diff(bounds).tolist()
+    for name in ("ex", "ex_pos", "t", "t_pos"):
+        got = np.concatenate([getattr(part, name) for part in parts])
+        assert got.dtype == np.int32 and got.tolist() == getattr(whole, name).tolist()
+    if unordered:  # every pair of base columns with a new one, once, in one order
+        assert sorted(tuple(sorted(p)) for p in pairs) == \
+            [(a, b) for a in range(base.size) for b in range(max(a, old_base), base.size)]
 
 
 def test_new_pairs_repeating_in_every_row_are_dropped():
