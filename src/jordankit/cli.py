@@ -1,8 +1,9 @@
 """Command-line surface: load algebra and map files, run checks, print reports.
 
-Every report is byte-deterministic for identical inputs. Exit codes are
-the machine contract: 0 all verdicts pass, 1 some check failed, 2 input
-or usage error.
+Every report is byte-deterministic for identical inputs. ``run`` makes,
+finishes and prints the one report of an invocation, and each command only
+adds its lines to it. Exit codes are the machine contract, set by ``run``:
+0 all verdicts pass, 1 some check failed, 2 input or usage error.
 """
 
 from __future__ import annotations
@@ -68,19 +69,14 @@ class RunReport:
             text += f" witness={witness}"
         self.lines.append(text)
 
-    def finish(self) -> "RunReport":
+    def finish(self):
         ok = all(passed for _, passed, _ in self.verdicts)
         self.exit_code = 0 if ok else 1
         self.lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-        return self
 
 
 def _field_text(f) -> str:
     return "Q" if f.characteristic == 0 else f"F{f.characteristic}"
-
-
-def _algebra_line(a) -> str:
-    return f"algebra: {a.name or '(unnamed)'} dim={a.dim} field={_field_text(a.field)}"
 
 
 def _tuple_text(elems) -> str:
@@ -109,10 +105,20 @@ def _decompose(command: str, a, e, symmetrized: bool = False):
 # subcommands
 
 
-def _cmd_check(args) -> RunReport:
-    rep = RunReport("check")
-    a = load_algebra(args.algebra)
-    rep.info(_algebra_line(a))
+def _load(rep, path):
+    """The algebra of the file at path, its line added to the report."""
+    a = load_algebra(path)
+    rep.info(f"algebra: {a.name or '(unnamed)'} dim={a.dim} field={_field_text(a.field)}")
+    return a
+
+
+def _witness(v) -> str:
+    """The argument tuple of a failing Verdict, or "" for a pass."""
+    return _tuple_text(v.witness[1]) if v.witness else ""
+
+
+def _cmd_check(args, rep):
+    a = _load(rep, args.algebra)
     ir = identity_report(a)
     for prop in ("commutative", "associative", "flexible", "jordan"):
         val = getattr(ir, prop)
@@ -122,26 +128,20 @@ def _cmd_check(args) -> RunReport:
         rep.info(line)
     if args.require:
         rep.verdict(f"require {args.require}", bool(getattr(ir, args.require)))
-    return rep.finish()
 
 
-def _cmd_idempotents(args) -> RunReport:
-    rep = RunReport("idempotents")
-    a = load_algebra(args.algebra)
-    rep.info(_algebra_line(a))
+def _cmd_idempotents(args, rep):
+    a = _load(rep, args.algebra)
     mode = "exhaustive" if args.exhaustive else "heuristic"
     rep.info(f"mode: {mode}")
     hits = find_idempotents(a, mode=mode)
     rep.info(f"count: {len(hits)}")
     for hit in hits:
         rep.info(f"idempotent: {hit.element.text()} class={hit.classification}")
-    return rep.finish()
 
 
-def _cmd_peirce(args) -> RunReport:
-    rep = RunReport("peirce")
-    a = load_algebra(args.algebra)
-    rep.info(_algebra_line(a))
+def _cmd_peirce(args, rep):
+    a = _load(rep, args.algebra)
     e = a.parse_element(args.idempotent)
     rep.info(f"idempotent: {e.text()} class={idempotent_class(a, e)}")
     dec = _decompose("peirce", a, e, args.symmetrized)
@@ -160,7 +160,6 @@ def _cmd_peirce(args) -> RunReport:
     rep.verdict("condition (i)", cond.cond_i, _cond_witness(cond, ("i@J1", "i@J0")))
     rep.verdict("condition (ii)", cond.cond_ii, _cond_witness(cond, ("ii",)))
     rep.verdict("condition (iii)", cond.cond_iii, _cond_witness(cond, ("iii",)))
-    return rep.finish()
 
 
 def _cond_witness(cond, keys) -> str:
@@ -168,46 +167,31 @@ def _cond_witness(cond, keys) -> str:
     return ",".join(parts)
 
 
-def _cmd_check_map(args) -> RunReport:
-    rep = RunReport("check-map")
-    dom = load_algebra(args.algebra)
-    cod = load_algebra(args.algebra2)
-    rep.info(_algebra_line(dom))
-    rep.info(_algebra_line(cod))
+def _identity_and_additivity(rep, name, v, table):
+    """The verdict of a map identity, then whether the map is additive."""
+    rep.verdict(name, v.ok, _witness(v))
+    rep.info(f"additive: {'true' if is_additive(table).ok else 'false'}")
+
+
+def _cmd_check_map(args, rep):
+    dom = _load(rep, args.algebra)
+    cod = _load(rep, args.algebra2)
     table = load_map_table(args.map, domain=dom, codomain=cod)
     rep.verdict("bijective", is_bijective(table))
     tree_mode = "all_trees" if args.all_trees else "canonical"
     v = is_n_multiplicative(table, args.n, tree_mode=tree_mode)
-    rep.verdict(
-        f"{args.n}-multiplicative ({tree_mode})",
-        v.ok,
-        _tuple_text(v.witness[1]) if v.witness else "",
-    )
-    add = is_additive(table)
-    rep.info(f"additive: {'true' if add.ok else 'false'}")
-    return rep.finish()
+    _identity_and_additivity(rep, f"{args.n}-multiplicative ({tree_mode})", v, table)
 
 
-def _cmd_check_derivation(args) -> RunReport:
-    rep = RunReport("check-derivation")
-    a = load_algebra(args.algebra)
-    rep.info(_algebra_line(a))
+def _cmd_check_derivation(args, rep):
+    a = _load(rep, args.algebra)
     table = DerivationTable.from_map(load_map_table(args.map, domain=a, codomain=a))
     v = is_n_derivation(table, args.n)
-    rep.verdict(
-        f"{args.n}-derivation (canonical)",
-        v.ok,
-        _tuple_text(v.witness[1]) if v.witness else "",
-    )
-    add = is_additive(table)
-    rep.info(f"additive: {'true' if add.ok else 'false'}")
-    return rep.finish()
+    _identity_and_additivity(rep, f"{args.n}-derivation (canonical)", v, table)
 
 
-def _cmd_inner_derivation(args) -> RunReport:
-    rep = RunReport("inner-derivation")
-    a = load_algebra(args.algebra)
-    rep.info(_algebra_line(a))
+def _cmd_inner_derivation(args, rep):
+    a = _load(rep, args.algebra)
     y = a.parse_element(args.y)
     z = a.parse_element(args.z)
     rep.info(f"y: {y.text()}")
@@ -217,28 +201,25 @@ def _cmd_inner_derivation(args) -> RunReport:
     for row in d.matrix:
         rep.info("row: " + ",".join(f.format(c) for c in row))
     v = is_n_derivation(d, 2)
-    rep.verdict("2-derivation (canonical)", v.ok, _tuple_text(v.witness[1]) if v.witness else "")
-    return rep.finish()
+    rep.verdict("2-derivation (canonical)", v.ok, _witness(v))
 
 
-def _cmd_reduce_derivation(args) -> RunReport:
-    rep = RunReport("reduce-derivation")
-    a = load_algebra(args.algebra)
-    rep.info(_algebra_line(a))
+def _cmd_reduce_derivation(args, rep):
+    a = _load(rep, args.algebra)
     e = a.parse_element(args.idempotent)
     rep.info(f"idempotent: {e.text()}")
     d = DerivationTable.from_map(load_map_table(args.map, domain=a, codomain=a))
     v = is_n_derivation(d, args.n)
     rep.verdict(f"{args.n}-derivation (canonical)", v.ok)
     if not v.ok:
-        return rep.finish()
+        return
     dec = _decompose("reduce-derivation", a, e)
     de = d.apply(e)
     rep.info(f"d(e): {de.text()}")
     in_half = _component_parts_zero(dec, de, ("1", "0"))
     rep.verdict("d(e) in Jhalf", in_half, de.text() if not in_half else "")
     if not in_half:
-        return rep.finish()
+        return
     delta = reduce_derivation(a, e, d, args.n, decomposition=dec)
     rep.verdict("reduced derivation vanishes at e", delta.apply(e).is_zero())
     pc = derivation_peirce_check(delta, dec)
@@ -247,13 +228,10 @@ def _cmd_reduce_derivation(args) -> RunReport:
         pc.ok,
         f"{pc.witness[0]}:{pc.witness[1].text()}" if pc.witness else "",
     )
-    return rep.finish()
 
 
-def _cmd_audit(args) -> RunReport:
-    rep = RunReport("audit")
-    a = load_algebra(args.algebra)
-    rep.info(_algebra_line(a))
+def _cmd_audit(args, rep):
+    a = _load(rep, args.algebra)
     if args.idempotent:
         e = a.parse_element(args.idempotent)
         rep.info(f"idempotent: {e.text()}")
@@ -290,18 +268,15 @@ def _cmd_audit(args) -> RunReport:
         images = (table.apply(e) for table in report.tables)
         bad = next((de for de in images if not _component_parts_zero(dec, de, ("1", "0"))), None)
         rep.verdict("d(e) in Jhalf for all witnesses", bad is None, bad.text() if bad else "")
-    return rep.finish()
 
 
-def _cmd_example(args) -> RunReport:
-    rep = RunReport("example")
+def _cmd_example(args, rep):
     f = _parse_field_spec(args.field)
     a = matrix_units_algebra(f)
     if args.which == "jordanified-m2":
         a = jordanify(a)
     save_algebra(a, args.out)
     rep.info(f"wrote: {args.out} ({a.name} over {_field_text(f)})")
-    return rep.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -399,17 +374,19 @@ def _error_text(exc) -> str:
 
 
 def run(argv) -> RunReport:
-    """Execute one CLI invocation, print its report, and return it."""
+    """Execute one CLI invocation: the command adds its lines to a fresh report,
+    which is finished, printed and returned; a refusal prints one error line."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command not in _NUMPY_FREE:
         _bind_carrier_names()
+    report = RunReport(args.command)
     try:
-        report = args.fn(args)
+        args.fn(args, report)
     except (JordankitError, OSError) as exc:
         print(f"error: {_error_text(exc)}", file=sys.stderr)
-        report = RunReport(args.command, exit_code=2)
-        return report
+        return RunReport(args.command, exit_code=2)
+    report.finish()
     print("\n".join([f"command: {report.command}"] + report.lines))
     return report
 

@@ -65,17 +65,11 @@ class Field:
     def neg(self, a):
         raise NotImplementedError
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         raise NotImplementedError
 
     def inv(self, a):
         raise NotImplementedError
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero()
 
     def parse(self, text: str):
         raise NotImplementedError

@@ -5,7 +5,8 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
-from jordankit import Algebra, jordanify, matrix_units_algebra, prime_field
+from jordankit import Algebra, jordanify, matrix_units_algebra, multiply, prime_field
+from jordankit.linalg import invert, mat_mul
 
 
 @st.composite
@@ -45,6 +46,19 @@ def rescaled(a, scalars):
     table = [[[f.mul(f.mul(s[i], s[j]), f.mul(a.table[i][j][k], inv[k])) for k in range(d)]
               for j in range(d)] for i in range(d)]
     return Algebra(f, a.basis_names, table, name=f"{a.name}_rescaled")
+
+
+def changed(a, P):
+    """a in the basis b'_i = sum_a P_ia b_a for an invertible P: the structure
+    constants become c'_ij^l = sum P_ia P_jb c_ab^k (P^-1)_kl. rescaled is the
+    diagonal case. A general P also mixes basis vectors, so the carrier order
+    changes."""
+    f = a.field
+    inverse = invert(f, [[f.from_int(c) for c in row] for row in P])
+    new = [a.element(row) for row in P]
+    table = [[mat_mul(f, [list(multiply(a, x, y).coords)], inverse)[0] for y in new]
+             for x in new]
+    return Algebra(f, a.basis_names, table, name=f"{a.name}_changed")
 
 
 def t2_algebra(p):

@@ -405,6 +405,221 @@ def test_report_determinism(files, capsys):
         assert first == second
 
 
+# map files as matrices of images: column j is the image of basis element j
+PIN_MAPS = {
+    "transpose": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+    "double": [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+    # inner_derivation(K/F5, e10, e00): the derivation that reduce-derivation reduces
+    "inner": [[0, 0, 2, 0], [3, 0, 0, 2], [0, 0, 0, 0], [0, 0, 3, 0]],
+}
+
+# the whole stdout and the exit code of one report per command and option;
+# "{name}" is the path of the file of that name
+FULL_OUTPUTS = {
+    "example": (["example", "jordanified-m2", "--field", "p=3", "--out", "{out}"], 0, """\
+command: example
+wrote: {out} (jordanified-m2 over F3)
+result: PASS
+"""),
+    "check": (["check", "{k_q}"], 0, """\
+command: check
+algebra: jordanified-m2 dim=4 field=Q
+commutative: true
+associative: false witness=1,0,0,0;1,0,0,0;0,1,0,0
+flexible: true
+jordan: true
+result: PASS
+"""),
+    "check-require": (["check", "{m2_q}", "--require", "jordan"], 1, """\
+command: check
+algebra: m2 dim=4 field=Q
+commutative: false witness=1,0,0,0;0,1,0,0
+associative: true
+flexible: true
+jordan: false witness=1,0,0,0;0,1,0,0
+verdict require jordan: fail
+result: FAIL
+"""),
+    "idempotents": (["idempotents", "{k_f3}"], 0, """\
+command: idempotents
+algebra: jordanified-m2 dim=4 field=F3
+mode: heuristic
+count: 7
+idempotent: 0,0,0,1 class=nontrivial
+idempotent: 0,0,1,1 class=nontrivial
+idempotent: 0,1,0,1 class=nontrivial
+idempotent: 1,0,0,0 class=nontrivial
+idempotent: 1,0,0,1 class=trivial_identity
+idempotent: 1,0,1,0 class=nontrivial
+idempotent: 1,1,0,0 class=nontrivial
+result: PASS
+"""),
+    "idempotents-exhaustive": (["idempotents", "{k_f3}", "--exhaustive"], 0, """\
+command: idempotents
+algebra: jordanified-m2 dim=4 field=F3
+mode: exhaustive
+count: 13
+idempotent: 0,0,0,1 class=nontrivial
+idempotent: 0,0,1,1 class=nontrivial
+idempotent: 0,0,2,1 class=nontrivial
+idempotent: 0,1,0,1 class=nontrivial
+idempotent: 0,2,0,1 class=nontrivial
+idempotent: 1,0,0,0 class=nontrivial
+idempotent: 1,0,0,1 class=trivial_identity
+idempotent: 1,0,1,0 class=nontrivial
+idempotent: 1,0,2,0 class=nontrivial
+idempotent: 1,1,0,0 class=nontrivial
+idempotent: 1,2,0,0 class=nontrivial
+idempotent: 2,1,1,2 class=nontrivial
+idempotent: 2,2,2,2 class=nontrivial
+result: PASS
+"""),
+    "peirce": (["peirce", "{k_q}", "--idempotent", "1,0,0,0"], 0, """\
+command: peirce
+algebra: jordanified-m2 dim=4 field=Q
+idempotent: 1,0,0,0 class=nontrivial
+dims: J1=1 Jhalf=2 J0=1
+basis J1: 1,0,0,0
+basis Jhalf: 0,1,0,0;0,0,1,0
+basis J0: 0,0,0,1
+verdict relation J0*J0 <= J0: pass
+verdict relation J1*J1 <= J1: pass
+verdict relation J1*J0 = 0: pass
+verdict relation (J1+J0)*Jhalf <= Jhalf: pass
+verdict relation Jhalf*Jhalf <= J1+J0: pass
+verdict condition (i): pass
+verdict condition (ii): pass
+verdict condition (iii): pass
+result: PASS
+"""),
+    "peirce-symmetrized": (["peirce", "{m2_q}", "--idempotent", "1,0,0,0", "--symmetrized"], 0, """\
+command: peirce
+algebra: m2 dim=4 field=Q
+idempotent: 1,0,0,0 class=nontrivial
+dims: J1=1 Jhalf=2 J0=1
+basis J1: 1,0,0,0
+basis Jhalf: 0,1,0,0;0,0,1,0
+basis J0: 0,0,0,1
+verdict relation J0*J0 <= J0: pass
+verdict relation J1*J1 <= J1: pass
+verdict relation J1*J0 = 0: pass
+verdict relation (J1+J0)*Jhalf <= Jhalf: pass
+verdict relation Jhalf*Jhalf <= J1+J0: pass
+verdict condition (i): pass
+verdict condition (ii): pass
+verdict condition (iii): pass
+result: PASS
+"""),
+    "check-map": (["check-map", "{k_f3}", "{k_f3}", "{transpose}", "--n", "2"], 0, """\
+command: check-map
+algebra: jordanified-m2 dim=4 field=F3
+algebra: jordanified-m2 dim=4 field=F3
+verdict bijective: pass
+verdict 2-multiplicative (canonical): pass
+additive: true
+result: PASS
+"""),
+    "check-map-all-trees": (
+        ["check-map", "{k_f3}", "{k_f3}", "{transpose}", "--n", "2", "--all-trees"], 0, """\
+command: check-map
+algebra: jordanified-m2 dim=4 field=F3
+algebra: jordanified-m2 dim=4 field=F3
+verdict bijective: pass
+verdict 2-multiplicative (all_trees): pass
+additive: true
+result: PASS
+"""),
+    "check-map-fail": (["check-map", "{k_f5}", "{k_f5}", "{double}", "--n", "2"], 1, """\
+command: check-map
+algebra: jordanified-m2 dim=4 field=F5
+algebra: jordanified-m2 dim=4 field=F5
+verdict bijective: pass
+verdict 2-multiplicative (canonical): fail witness=0,0,0,1;0,0,0,1
+additive: true
+result: FAIL
+"""),
+    "inner-derivation": (["inner-derivation", "{k_q}", "--y", "0,1,0,0", "--z", "4,0,0,0"], 0, """\
+command: inner-derivation
+algebra: jordanified-m2 dim=4 field=Q
+y: 0,1,0,0
+z: 4,0,0,0
+row: 0,0,-3,0
+row: 3,0,0,-3
+row: 0,0,0,0
+row: 0,0,3,0
+verdict 2-derivation (canonical): pass
+result: PASS
+"""),
+    "reduce-derivation": (
+        ["reduce-derivation", "{k_f5}", "{inner}", "--idempotent", "1,0,0,0", "--n", "2"], 0, """\
+command: reduce-derivation
+algebra: jordanified-m2 dim=4 field=F5
+idempotent: 1,0,0,0
+verdict 2-derivation (canonical): pass
+d(e): 0,3,0,0
+verdict d(e) in Jhalf: pass
+verdict reduced derivation vanishes at e: pass
+verdict reduced derivation preserves components: pass
+result: PASS
+"""),
+    "reduce-derivation-fail": (
+        ["reduce-derivation", "{k_f3}", "{transpose}", "--idempotent", "1,0,0,0", "--n", "2"], 1, """\
+command: reduce-derivation
+algebra: jordanified-m2 dim=4 field=F3
+idempotent: 1,0,0,0
+verdict 2-derivation (canonical): fail
+result: FAIL
+"""),
+    "audit-maps": (["audit", "{k_f3}", "--n", "2", "--mode", "maps"], 0, """\
+command: audit
+algebra: jordanified-m2 dim=4 field=F3
+idempotent: 0,0,0,1 (auto)
+conditions: i=pass ii=pass iii=pass
+mode: maps n=2
+witnesses: 48
+exhausted: true
+verdict all_additive: pass
+result: PASS
+"""),
+    "audit-derivations": (["audit", "{k_f3}", "--n", "2", "--mode", "derivations"], 0, """\
+command: audit
+algebra: jordanified-m2 dim=4 field=F3
+idempotent: 0,0,0,1 (auto)
+conditions: i=pass ii=pass iii=pass
+mode: derivations n=2
+witnesses: 27
+exhausted: true
+verdict all_additive: pass
+verdict d(e) in Jhalf for all witnesses: pass
+result: PASS
+"""),
+    "audit-budget-witnesses": (
+        ["audit", "{k_f3}", "--n", "2", "--mode", "maps", "--budget-witnesses", "3"], 0, """\
+command: audit
+algebra: jordanified-m2 dim=4 field=F3
+idempotent: 0,0,0,1 (auto)
+conditions: i=pass ii=pass iii=pass
+mode: maps n=2
+witnesses: 3
+exhausted: false
+verdict all_additive: pass
+result: PASS
+"""),
+}
+
+
+@pytest.mark.parametrize("case", FULL_OUTPUTS)
+def test_full_output(files, tmp_path, capsys, case):
+    paths = {**files, "out": str(tmp_path / "out.alg")}
+    for name, matrix in PIN_MAPS.items():
+        path = tmp_path / f"{name}.map"
+        path.write_text(json.dumps({"matrix": [[str(c) for c in row] for row in matrix]}))
+        paths[name] = str(path)
+    argv, code, out = FULL_OUTPUTS[case]
+    assert run([arg.format(**paths) for arg in argv]).exit_code == code
+    assert capsys.readouterr() == (out.format(**paths), "")
+
+
 @pytest.mark.parametrize(
     "data", [{"entries": 5}, {"matrix": 5}, {"matrix": [5, 5, 5, 5]}]
 )

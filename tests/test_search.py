@@ -26,11 +26,11 @@ from jordankit import (
     peirce_decompose,
     prime_field,
 )
-from jordankit.linalg import rref
+from jordankit.linalg import invert, rref
 
 import oracles
 from conftest import diagonal_product_algebra
-from strategies import m2_plus_f, rescaled, spin_factor, t2_algebra
+from strategies import changed, m2_plus_f, rescaled, spin_factor, t2_algebra
 
 
 def table_set(stream):
@@ -548,6 +548,34 @@ def test_theorem_as_oracle_at_n2(make, idempotent, dims, conditions, n_maps,
             assert oracles.first_identity_failure(t, 2, [canonical_tree(2)], derivation) is None
             pairs = itertools.product(elems, repeat=2)
             assert any(t.apply(x + y) != t.apply(x) + t.apply(y) for x, y in pairs)
+
+
+def invertible(p, dim, seed):
+    """A seeded matrix in GL(dim, F_p), drawn entry by entry until it inverts."""
+    rng = random.Random(seed)
+    f = prime_field(p)
+    while True:
+        m = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
+        if invert(f, [[f.from_int(c) for c in row] for row in m]) is not None:
+            return m
+
+
+def test_changed_with_a_diagonal_matrix_is_rescaled(kf3):
+    diagonal = [[s * (i == j) for j in range(4)] for i, s in enumerate(K3_SCALARS)]
+    assert changed(kf3, diagonal).table == rescaled(kf3, K3_SCALARS).table
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_counts_hold_under_a_general_change_of_basis(kf3, seed):
+    # a general P mixes basis vectors, so the carrier order that the search
+    # branches in, and every plan it builds, change; the answer does not
+    a = changed(kf3, invertible(3, 4, seed))
+    for n in (2, 3):
+        for search, count in ((enumerate_multiplicative_bijections(a, a, n), 48),
+                              (enumerate_n_derivations(a, n), 27)):
+            tables = list(search)
+            assert (len(tables), search.exhausted) == (count, True)
+            assert all(is_additive(t).ok for t in tables)
 
 
 def test_bijection_search_n3_micro(f3xf3):
