@@ -65,10 +65,18 @@ by row the same s, is dropped: in every row it only repeats a
 constraint. For a single row this keeps one pair per (t, s), at most
 N^2 a level, where pairs indexed by derivation would number m^k with m
 assigned elements. Which pairs are dropped depends on the values, so the
-gathers below the top level are laid out when a round runs, and the t
-of every level are part of a plan's key. The closures at one depth
-still mostly start from one state: a K/F3 bijection search builds 12
-plans at n = 2 and 9 at n = 3.
+t of every level are part of a plan's key. The gathers below the top
+level have domain plans too (_Lower, cached apart from the top-level
+ones): the products, the t of the pairs they give, and for each new pair
+whose t occurred earlier the first pair with that t. A round evaluates
+the node rule on the cached products and drops a new pair that equals
+the first pair of its t in every row; only where some pair differs from
+its first does the full comparison (_distinct) run, on what is left.
+On K/F3 at n = 3 every repeated t repeats its first pair, and a K/F5
+n = 3 bijection search runs _distinct in 1 of its 2164 level-2 gathers.
+The closures at one depth still mostly start from one state: a K/F3
+bijection search builds 12 plans at n = 2, and 9 plans and 9 lower
+plans at n = 3.
 
 The closure stops once every element has an image. Re-verification is
 its last step: each complete table is checked by the maps-module
@@ -218,7 +226,8 @@ def _distinct(t: np.ndarray, s: np.ndarray, old: int):
 
     s holds one row per candidate. A column is dropped when an earlier
     column has the same t and, row by row, the same s: in every row it
-    only repeats a constraint.
+    only repeats a constraint. A round runs it only on the columns that
+    _Lower.distinct leaves, and only when some of them may still repeat.
     """
     key = np.vstack([t, s])
     order = np.lexsort(key)  # stable: a run of equal columns starts at its first
@@ -227,6 +236,25 @@ def _distinct(t: np.ndarray, s: np.ndarray, old: int):
     keep[order[1:][(runs[:, 1:] == runs[:, :-1]).all(axis=0)]] = False
     keep[:old] = True
     return t[keep], s[:, keep]
+
+
+def _repeats(t: np.ndarray, old: int):
+    """The columns of t for _Lower: repeat, the new columns (from old on)
+    whose t occurs in an earlier column; first, the first column with the
+    t of each; rest, all the others. All are int32 positions."""
+    _, first, group = np.unique(t, return_index=True, return_inverse=True)
+    first = first[group.ravel()]
+    again = first != np.arange(t.size)
+    again[:old] = False
+    repeat, rest = np.flatnonzero(again), np.flatnonzero(~again)
+    return repeat.astype(np.int32), first[repeat].astype(np.int32), rest.astype(np.int32)
+
+
+def _chunks(cols: _Columns, step: int):
+    """(j, cols[j:j + step]) for every chunk of cols; cols itself if it fits in one."""
+    if len(cols) <= step:
+        return [(0, cols)]
+    return ((j, cols[j:j + step]) for j in range(0, len(cols), step))
 
 
 @dataclass
@@ -247,6 +275,40 @@ class _Round:
     cols: _Columns
     want: np.ndarray
     elements: np.ndarray
+
+
+@dataclass
+class _Lower:
+    """The domain side of a closure round's gather at level i + 1 below the top.
+
+    cols are the products of _semi_naive at that level, and t the t of the
+    level-(i + 2) pairs: the old ones, then z = mul[ex, t] for each
+    product. repeat lists the new columns whose t occurs in an earlier
+    column, first the first column with the t of each, and rest the other
+    columns (see _repeats).
+    """
+
+    cols: _Columns
+    t: np.ndarray
+    repeat: np.ndarray
+    first: np.ndarray
+    rest: np.ndarray
+
+    def distinct(self, s: np.ndarray, old: int):
+        """What _distinct(self.t, s, old) returns, s holding one row per candidate.
+
+        A new column that equals the first column of its t in every row
+        is dropped, and _distinct runs on what is left only if some column
+        differs from its first. That is exact: a column that repeats a
+        dropped column repeats that column's first too, so it is dropped
+        here as well, and a column whose t is new repeats nothing.
+        """
+        same = s.take(self.repeat, axis=1) == s.take(self.first, axis=1)
+        if same.all():
+            return self.t.take(self.rest), s.take(self.rest, axis=1)
+        keep = np.ones(self.t.size, dtype=bool)
+        keep[self.repeat[same.all(axis=0)]] = False
+        return _distinct(self.t[keep], s[:, keep], old)
 
 
 @dataclass(frozen=True)
@@ -294,6 +356,7 @@ class _TableSearch:
         empty = tuple(np.empty(0, dtype=np.int64) for _ in range(1, n))
         self.root = _State(np.full(self.size, -1, dtype=np.int64), empty, empty)
         self._plans: dict[tuple, _Round] = {}
+        self._lower_plans: dict[tuple, _Lower] = {}
         self._prefilters: dict[bytes, tuple[_Columns, np.ndarray]] = {}
         # run record
         self.nodes = 0
@@ -376,6 +439,29 @@ class _TableSearch:
         order = np.concatenate([free[first], free[rest], checked])
         return _Round(cols[order], want[order].astype(np.int32), elements)
 
+    def _lower(self, i: int, ts: list, old: list, keys: list) -> _Lower:
+        """The cached plan of the level-(i + 1) gather from the state (ts, old).
+
+        keys[k] is ts[k].tobytes(). The key holds everything the plan
+        reads: the base, the t of the pairs it steps onto and those of the
+        pairs one level up, and the old prefixes of the first two.
+        """
+        key = (i, old[0], old[i], keys[0], keys[i], keys[i + 1])
+        plan = self._lower_plans.get(key)
+        if plan is None:
+            plan = self._lower_plans[key] = self._build_lower(
+                i, old[0], old[i], ts[0], ts[i], ts[i + 1])
+        return plan
+
+    def _build_lower(self, i: int, old_base: int, old: int, base: np.ndarray,
+                     level_t: np.ndarray, above: np.ndarray) -> _Lower:
+        """Gather level i + 1 on domain elements alone: level 1 is the one
+        unordered level. above holds the t of the level-(i + 2) pairs,
+        all old."""
+        cols = _semi_naive(base, old_base, level_t, old, unordered=self.commutative and not i)
+        t = np.concatenate([above, self.mul(cols.ex, cols.t)])
+        return _Lower(cols, t, *_repeats(t, above.size))
+
     def _base_column(self, base: np.ndarray, z: np.ndarray) -> np.ndarray:
         """The base column each element of z is at, or -1 off the base."""
         pos = np.full(self.size, -1, dtype=np.int64)
@@ -417,15 +503,17 @@ class _TableSearch:
         for _extend, the t and s that each level gained. The rounds run
         with one row per candidate: vals[0] holds the base-pair images by
         column (the assigned prefix, x, then each round's forced elements)
-        and vals[i] the s of the level-(i + 1) pairs. A round gathers each
-        level below the top and keeps the new pairs that _distinct keeps,
-        then the top level by its plan, in one pass over its products: the
-        images of the first occurrences extend vals[0], and each product's
-        image is compared with the column it must equal. A row is dropped
-        after the first round in which it conflicts: a product on a base
-        element disagrees with its image, two products force one element
-        to two images, or, for bijections, an image is taken twice. The
-        closure ends when the table is complete or a round forces nothing.
+        and vals[i] the s of the level-(i + 1) pairs. A round evaluates
+        each level below the top on the products of its cached plan and
+        keeps the new pairs that _Lower.distinct keeps, those that repeat
+        no earlier pair in every row. Then it runs the top level by its
+        plan, in one pass over its products: the images of the first
+        occurrences extend vals[0], and each product's image is compared
+        with the column it must equal. A row is dropped after the first
+        round in which it conflicts: a product on a base element disagrees
+        with its image, two products force one element to two images, or,
+        for bijections, an image is taken twice. The closure ends when the
+        table is complete or a round forces nothing.
         """
         if not len(vs):
             return []
@@ -440,17 +528,19 @@ class _TableSearch:
             live = live[~self._taken(owner, live, vs[:, None], old[0])]
         vals = [np.repeat(s[None], live.size, axis=0) for s in state.ss]
         vals[0] = np.column_stack([vals[0], vs[live]])
+        keys = [None, *(t.tobytes() for t in ts[1:])]
         while live.size and old[0] < ts[0].size < self.size:
             step = max(1, _GATHER_CHUNK // live.size)
-            for i in range(top):  # level 1 is the one unordered level
-                cols = _semi_naive(ts[0], old[0], ts[i], old[i],
-                                   unordered=self.commutative and not i)
-                s = np.empty((live.size, len(cols)), dtype=np.int64)
-                for j in range(0, len(cols), step):
-                    s[:, j:j + step] = self._targets(cols[j:j + step], vals, i)
-                ts[i + 1], vals[i + 1] = _distinct(
-                    np.concatenate([ts[i + 1], self.mul(cols.ex, cols.t)]),
-                    np.concatenate([vals[i + 1], s], axis=1), old[i + 1])
+            if top:
+                keys[0] = ts[0].tobytes()
+            for i in range(top):
+                low, above = self._lower(i, ts, old, keys), old[i + 1]
+                s = np.empty((live.size, low.t.size), dtype=np.int64)
+                s[:, :above] = vals[i + 1]
+                for j, cols in _chunks(low.cols, step):
+                    s[:, above + j:above + j + len(cols)] = self._targets(cols, vals, i)
+                ts[i + 1], vals[i + 1] = low.distinct(s, above)
+                keys[i + 1] = ts[i + 1].tobytes()
             rnd = self._plan(ts, old)
             ext = np.empty((live.size, ts[0].size + rnd.elements.size), dtype=np.int64)
             ext[:, :ts[0].size] = vals[0]

@@ -45,6 +45,7 @@ def assert_same_run(search):
     # the oracle's own hooks filtered and closed every node, not the
     # engine's plans and prefilter
     assert reference.closed >= got[1] and not reference._plans and not reference._prefilters
+    assert not reference._lower_plans
     return got
 
 
@@ -242,9 +243,12 @@ def test_plans_are_value_independent(algebra, kind, n):
 
     rebuilt = fresh()
     rebuilt._plan = rebuilt._build_plan
-    rebuilt._plans.clear()  # the plan that seeded d(0) = 0
+    rebuilt._lower = lambda i, ts, old, keys: rebuilt._build_lower(
+        i, old[0], old[i], ts[0], ts[i], ts[i + 1])
+    rebuilt._plans.clear()  # the plans that seeded d(0) = 0
+    rebuilt._lower_plans.clear()
     assert run(fresh()) == run(rebuilt)
-    assert not rebuilt._plans
+    assert not rebuilt._plans and not rebuilt._lower_plans
 
 
 def full_gather_plan(search, key):
@@ -349,6 +353,54 @@ def test_plan_count_repeats(kf3, n, plans):
     tables, nodes, _, _ = run(search)
     assert (len(tables), nodes) == (48, 556)
     assert len(search._plans) == plans
+
+
+@pytest.mark.parametrize("n,lower", [(3, 9), (4, 18)])
+@pytest.mark.parametrize("kind", ["bijections", "derivations"])
+def test_lower_plan_count_repeats(kf3, kind, n, lower):
+    # the levels below the top meet as few domain states as the top; a
+    # key that read values would show as a count that grows with the nodes
+    search = make_search(kf3, kind, n)
+    run(search)
+    assert len(search._lower_plans) == lower
+    assert_lower_plans_match_their_keys(search)
+
+
+def lower_fields(plan):
+    return (plan.cols.ex, plan.cols.ex_pos, plan.cols.t, plan.cols.t_pos,
+            plan.t, plan.repeat, plan.first, plan.rest)
+
+
+def assert_lower_plans_match_their_keys(search):
+    """Every cached lower plan equals the one built from its key alone,
+    field for field and dtype for dtype; its t, repeat, first and rest
+    also match a loop over its products."""
+    for key, plan in search._lower_plans.items():
+        i, old_base, old, *keys = key
+        base, level_t, above = (np.frombuffer(k, dtype=np.int64) for k in keys)
+        rebuilt = search._build_lower(i, old_base, old, base, level_t, above)
+        for got, want in zip(lower_fields(plan), lower_fields(rebuilt)):
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        mul = search.dom.mul.tolist()
+        t = above.tolist() + [mul[x][y] for x, y in zip(plan.cols.ex.tolist(),
+                                                          plan.cols.t.tolist())]
+        firsts, repeat, first = {}, [], []
+        for c, z in enumerate(t):
+            firsts.setdefault(z, c)
+            if c >= above.size and firsts[z] != c:
+                repeat.append(c)
+                first.append(firsts[z])
+        assert plan.t.tolist() == t
+        assert (plan.repeat.tolist(), plan.first.tolist()) == (repeat, first)
+        assert plan.rest.tolist() == sorted(set(range(len(t))) - set(repeat))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(f3_algebras(), st.sampled_from(["bijections", "derivations"]), st.integers(3, 4))
+def test_lower_plans_match_their_keys(algebra, kind, n):
+    search = make_search(algebra, kind, n, budget=SearchBudget(max_nodes=150))
+    run(search)
+    assert_lower_plans_match_their_keys(search)
 
 
 def test_plans_are_keyed_by_the_state(f3xf3):
@@ -458,16 +510,39 @@ def test_semi_naive_ranges_split_the_gather(old_base, new, level_size, unordered
             [(a, b) for a in range(base.size) for b in range(max(a, old_base), base.size)]
 
 
+def first_of_t(t, s, old):
+    """The first-of-t dedup of a round's lower plan on the pairs (t, s)."""
+    plan = search_module._Lower(None, t, *search_module._repeats(t, old))
+    return plan.distinct(s, old)
+
+
 def test_new_pairs_repeating_in_every_row_are_dropped():
-    t = np.array([5, 5, 7, 5, 5, 7, 8])
-    s = np.array([[1, 1, 2, 1, 1, 2, 0],
-                  [3, 3, 4, 3, 9, 4, 0]])
+    t = np.array([5, 5, 7, 5, 5, 7, 8, 5, 5])
+    s = np.array([[1, 1, 2, 1, 1, 2, 0, 1, 1],
+                  [3, 3, 4, 3, 9, 4, 0, 9, 8]])
     # old columns 0-2 stay as they are, repeats included; column 3 repeats
     # column 0 in both rows, column 5 repeats column 2; column 4 differs
-    # from column 0 in the second row
-    t, s = search_module._distinct(t, s, 3)
-    assert t.tolist() == [5, 5, 7, 5, 8]
-    assert s.tolist() == [[1, 1, 2, 1, 0], [3, 3, 4, 9, 0]]
+    # from column 0 in the second row. Column 7 differs from column 0, the
+    # first of its t, but repeats column 4; column 8 repeats nothing
+    for dedup in (search_module._distinct, first_of_t):
+        got_t, got_s = dedup(t, s, 3)
+        assert got_t.tolist() == [5, 5, 7, 5, 8, 5]
+        assert got_s.tolist() == [[1, 1, 2, 1, 0, 1], [3, 3, 4, 9, 0, 8]]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 4), st.integers(0, 12), st.data())
+def test_first_of_t_dedup_is_distinct(rows, size, data):
+    # few distinct t and few values, so that columns repeat one another
+    # and the comparison with the first of a t fails in some rows
+    t = np.array(data.draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)),
+                 dtype=np.int64)
+    s = np.array(data.draw(st.lists(st.integers(0, 2), min_size=rows * size,
+                                    max_size=rows * size)), dtype=np.int64).reshape(rows, size)
+    old = data.draw(st.integers(0, size))
+    got, want = first_of_t(t, s, old), search_module._distinct(t, s, old)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist()
 
 
 @pytest.mark.parametrize("kind", ["bijections", "derivations"])

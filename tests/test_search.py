@@ -578,6 +578,37 @@ def test_counts_hold_under_a_general_change_of_basis(kf3, seed):
             assert all(is_additive(t).ok for t in tables)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_t2_counts_hold_under_a_general_change_of_basis(seed):
+    # T2/F3 in a mixed basis: the given basis's 12 bijections and 9
+    # derivations, at n = 3 too, where the closure runs its lower levels
+    a = changed(t2_algebra(3), invertible(3, 3, seed))
+    for n in (2, 3):
+        for search, count in ((enumerate_multiplicative_bijections(a, a, n), 12),
+                              (enumerate_n_derivations(a, n), 9)):
+            tables = list(search)
+            assert (len(tables), search.exhausted) == (count, True)
+            assert all(is_additive(t).ok for t in tables)
+
+
+def test_f5xf5_cube_map_is_a_nonadditive_3_multiplicative_bijection():
+    # F5 x F5 fails conditions (i)-(iii) at the idempotent of its n = 2
+    # oracle case, and x -> x^3 on each factor is 3-multiplicative,
+    # bijective (gcd(3, 4) = 1) and not additive: (1 + 1)^3 = 3
+    a = diagonal_product_algebra(prime_field(5), 2)
+    dec = peirce_decompose(a, first_nontrivial(a))
+    report = additivity_audit(enumerate_multiplicative_bijections(a, a, 3), dec)
+    assert report.exhausted and not report.hypothesis_record.all_ok
+    car = carrier_of(a)
+    f = a.field
+    cube = [car.index_of(a.element([f.mul(c, f.mul(c, c)) for c in car.element_at(i).coords]))
+            for i in range(car.size)]
+    (table,) = [t for t in report.nonadditive_witnesses if t.index_table().tolist() == cube]
+    assert oracles.first_identity_failure(table, 3, [canonical_tree(3)], False) is None
+    x = a.basis_element(0)
+    assert table.apply(x + x) != table.apply(x) + table.apply(x)
+
+
 def test_bijection_search_n3_micro(f3xf3):
     search = enumerate_multiplicative_bijections(f3xf3, f3xf3, 3)
     tables = table_set(search)
