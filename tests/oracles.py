@@ -3,8 +3,8 @@
 Everything here recomputes results from first principles (structure
 table, raw coordinate arithmetic, full enumeration) without going
 through the code paths under test. The reference searches at the end
-share the DFS with the engine and replace its candidate prefilter and
-its closure.
+replace the engine's candidate prefilter, its closure and its walk, and
+share with it the budget checks, the output and re-verification.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from jordankit.algebra import monomial_eval
-from jordankit.search import DerivationSearch, MultiplicativeBijectionSearch
+from jordankit.search import DerivationSearch, MultiplicativeBijectionSearch, _State
 
 
 def raw_multiply(algebra, xc, yc):
@@ -324,21 +324,22 @@ class QueuePropagation:
     """Forcing one image at a time: the reference for the closure plans.
 
     Mixed in ahead of a search class, this replaces the prefilter
-    _candidates and the sibling hook _close_siblings by code over Python
-    lists, dicts and sets, with products read from list-of-lists tables.
-    It shares no plan, no value rows and no closure code with the engine.
-    Both hooks read the DFS state value they are given (img and the t and
-    s of the pairs at each level) and change nothing in it.
-    _candidates tries each allowed value on its own against the degree-2
-    step, the engine's rule for every n. Each candidate is closed on its
-    own fresh copy of the state, in order: level-k pairs (t, s) are
-    extended by each assigned x to level k + 1, and a level-n pair forces
-    img[t] = s; every pair is extended as soon as it appears, and pairs
-    are kept once per (t, s). A surviving candidate's row is what its
-    closure added, in the engine's format: (ts, ss), the new t and s of
-    each level, level 1 being the new assignments. closed counts the
-    candidates the hook closed, so a test can tell that the oracle, not
-    the engine, ran.
+    _candidates, the sibling hook _close_siblings and the walk _dfs by
+    code over Python lists, dicts and sets, with products read from
+    list-of-lists tables. It shares no plan, no value rows, no closure
+    code and no look-ahead with the engine.
+    Both hooks take a list of sibling states and read each state value
+    (the t and s of the pairs at each level) on its own, changing
+    nothing in it. _candidates tries each allowed value of each state on
+    its own against the degree-2 step, the engine's rule for every n.
+    Each candidate is closed on its own fresh copy of its state, in
+    order: level-k pairs (t, s) are extended by each assigned x to level
+    k + 1, and a level-n pair forces img[t] = s; every pair is extended
+    as soon as it appears, and pairs are kept once per (t, s). A
+    surviving candidate gives the child state: its state's pairs, then
+    those its closure added, level 1 being the new assignments. closed
+    counts the candidates the hook closed, so a test can tell that the
+    oracle, not the engine, ran.
     """
 
     def __init__(self, *args):
@@ -352,10 +353,13 @@ class QueuePropagation:
         """(x * t, the image x * t must take) when x maps to v and t to s."""
         raise NotImplementedError
 
-    def _candidates(self, state, x):
-        """The values v of x under which the degree-2 step gives each
-        product x y, y x and x x (y assigned) that lands on x or an
+    def _candidates(self, states, x):
+        """Per state, the values v of x under which the degree-2 step gives
+        each product x y, y x and x x (y assigned) that lands on x or an
         assigned element that element's image."""
+        return [self._state_candidates(state, x) for state in states]
+
+    def _state_candidates(self, state, x):
         assigned = state.ts[0].tolist()
         img = dict(zip(assigned, state.ss[0].tolist()))
         taken = set(img.values()) if self.bijective else set()
@@ -370,12 +374,49 @@ class QueuePropagation:
                 out.append(v)
         return out
 
-    def _close_siblings(self, state, x, vs):
+    def _close_siblings(self, states, x, vs):
         rows = []
-        for v in vs:
-            self.closed += 1
-            rows.append(_QueueClosure(self, state).row(x, v))
+        for state, state_vs in zip(states, vs):
+            rows.append([])
+            for v in state_vs:
+                self.closed += 1
+                rows[-1].append(_QueueClosure(self, state).child(x, v))
         return rows
+
+    def _dfs(self, state):
+        """A plain DFS, one node at a time, each closed on its own: the
+        reference for the engine's walk, which closes siblings ahead. The
+        budget is checked on entry to a state and after each candidate,
+        refuted or not."""
+        if self._over_budget():
+            self.budget_exceeded = True
+            return
+        img = images(self.size, state)
+        if -1 not in img:
+            table = self._emit(np.array(img))
+            if self._verify(table):
+                self.witnesses_emitted += 1
+                yield table
+            return
+        x = img.index(-1)
+        (kids,) = self._close_siblings([state], x, self._candidates([state], x))
+        for kid in kids:
+            self.nodes += 1
+            if kid is not None:
+                yield from self._dfs(kid)
+            if self.budget_exceeded:
+                return
+            if self._over_budget():
+                self.budget_exceeded = True
+                return
+
+
+def images(size, state):
+    """img[x] under a DFS state, as a list: the image of x, or -1 while x is unassigned."""
+    img = [-1] * size
+    for t, s in zip(state.ts[0].tolist(), state.ss[0].tolist()):
+        img[t] = s
+    return img
 
 
 class _QueueClosure:
@@ -383,25 +424,22 @@ class _QueueClosure:
 
     def __init__(self, search, state):
         self.search = search
-        self.img = state.img.tolist()
+        self.img = images(search.size, state)
         self.taken = set(state.ss[0].tolist())  # read for bijections only
         self.assigned = state.ts[0].tolist()
         self.levels = {k: list(zip(state.ts[k - 1].tolist(), state.ss[k - 1].tolist()))
                        for k in range(2, search.n)}
         self.seen = {k: set(pairs) for k, pairs in self.levels.items()}
 
-    def row(self, x, v):
-        """The assignments and pairs that img[x] = v adds, as (ts, ss), or
-        None if its closure conflicts."""
-        assigned = len(self.assigned)
-        sizes = {k: len(pairs) for k, pairs in self.levels.items()}
+    def child(self, x, v):
+        """The state below img[x] = v, the state's pairs and then those its
+        closure adds, or None if the closure conflicts."""
         if not self._assign(x, v):
             return None
-        new = [[(y, self.img[y]) for y in self.assigned[assigned:]]]
-        new += [self.levels[k][sizes[k]:] for k in sorted(self.levels)]
-        ts = [np.array([t for t, _ in pairs], dtype=np.int64) for pairs in new]
-        ss = [np.array([s for _, s in pairs], dtype=np.int64) for pairs in new]
-        return ts, ss
+        levels = [[(y, self.img[y]) for y in self.assigned]]
+        levels += [self.levels[k] for k in sorted(self.levels)]
+        return _State(*(tuple(np.array([pair[i] for pair in pairs], dtype=np.int64)
+                              for pairs in levels) for i in (0, 1)))
 
     def _step(self, x, pair):
         return self.search._product(x, self.img[x], *pair)
@@ -479,8 +517,8 @@ def reference_search(search):
     cls = ReferenceBijectionSearch if search.bijective else ReferenceDerivationSearch
     ref = cls(search.domain, search.codomain, search.n, search.budget)
     if not search.bijective:
-        (row,) = ref._close_siblings(ref.root, 0, [0])
-        if row is None:
+        ((root,),) = ref._close_siblings([ref.root], 0, [[0]])
+        if root is None:
             raise AssertionError("seeding d(0) = 0 failed in the reference")
-        ref.root = ref._extend(ref.root, row)
+        ref.root = root
     return ref

@@ -1,13 +1,14 @@
 """The closure plans against a per-element forcing queue.
 
 Both closures compute the same least fixpoint on a partial table. The
-engine closes all candidates of an element at once, as rows over
-shared columns laid out by cached domain plans, and stops once a table
-is complete, where the queue
-closes one candidate at a time and runs on; re-verification rejects any
-complete table the queue would refute. So a search must emit the same
-tables in the same order, expand the same nodes and end in the same
-budget state with either one, and also when every plan is rebuilt.
+engine closes the candidates of a sibling group at once, as rows over
+shared columns laid out by cached domain plans, ahead of its walk, and
+stops once a table is complete, where the queue walks one node at a
+time, closes one candidate at a time and runs on; re-verification
+rejects any complete table the queue would refute. So a search must
+emit the same tables in the same order, expand the same nodes and end
+in the same budget state with either one, and also when every plan is
+rebuilt.
 """
 
 import tracemalloc
@@ -72,6 +73,52 @@ def test_node_budget_matches_reference(kf3, kind):
     assert nodes == 40
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(f3_algebras(), st.sampled_from(["bijections", "derivations"]), st.integers(2, 3), st.data())
+def test_budget_stops_match_reference(algebra, kind, n, data):
+    # the walk closes later siblings ahead of reaching them; a budget stop
+    # drops that work, and the stream, the node count and the budget state
+    # must be those of the queue's one-node-at-a-time walk
+    full = make_search(algebra, kind, n, budget=SearchBudget(max_nodes=300))
+    run(full)
+    max_nodes = data.draw(st.sampled_from([1, 2]) | st.integers(1, full.nodes or 1))
+    max_witnesses = data.draw(st.none() | st.integers(0, 3))
+    budget = SearchBudget(max_nodes=max_nodes, max_witnesses=max_witnesses)
+    assert_same_run(make_search(algebra, kind, n, budget=budget))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["bijections", "derivations"])
+def test_node_budget_trips_on_entry_to_a_surviving_child(kf3, kind, n):
+    # the first node survives and is no leaf: the walk counts it, enters
+    # it and stops there on the budget, before closing anything below it
+    search = make_search(kf3, kind, n, budget=SearchBudget(max_nodes=1))
+    x = int(np.flatnonzero(search._image(search.root) == -1)[0])
+    (kids,) = search._close_siblings([search.root], x, search._candidates([search.root], x))
+    assert kids[0] is not None and children(search, kids[0])
+    assert assert_same_run(search)[1:] == (1, False, True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind,calls", [("bijections", 87), ("derivations", 48)])
+def test_closure_count_per_sibling_group(kf3, kind, n, calls, monkeypatch):
+    # the surviving children of a node are closed in one call: closing each
+    # node's candidates on their own took 221 and 128 calls (d(0) = 0
+    # seeding included); a group whose candidates the prefilter all
+    # refutes makes no call
+    count = [0]
+    close = search_module._TableSearch._close_siblings
+
+    def counting(*args):
+        count[0] += 1
+        return close(*args)
+
+    monkeypatch.setattr(search_module._TableSearch, "_close_siblings", counting)
+    tables, nodes, _, _ = run(make_search(kf3, kind, n))
+    assert (len(tables), nodes) == {"bijections": (48, 556), "derivations": (27, 369)}[kind]
+    assert count[0] == calls
+
+
 @pytest.mark.parametrize("kind", ["bijections", "derivations"])
 @pytest.mark.parametrize("name,n", [("f3xf3", 2), ("f3xf3", 3), ("m2f3", 2)])
 def test_small_and_noncommutative_match_reference(request, name, n, kind):
@@ -102,7 +149,7 @@ def test_chunked_gathers_match_reference(kf3, monkeypatch):
 
 def state(node):
     """The contents of a DFS state value, as lists."""
-    return node.img.tolist(), [t.tolist() for t in node.ts], [s.tolist() for s in node.ss]
+    return [t.tolist() for t in node.ts], [s.tolist() for s in node.ss]
 
 
 F3_UNIT = [[[1]]]  # F3 itself: b0 b0 = b0
@@ -128,10 +175,9 @@ def test_frontier_conflicts_fail_and_leave_the_state(monkeypatch):
         search = make_search(algebra, kind, 2)
         node = search.root
         if x and kind == "bijections":
-            (row,) = search._close_siblings(node, 0, [0])
-            node = search._extend(node, row)
+            ((node,),) = search._close_siblings([node], 0, [[0]])
         before = state(node)
-        assert search._close_siblings(node, x, [v]) == [None], conflict
+        assert search._close_siblings([node], x, [[v]]) == [[None]], conflict
         assert state(node) == before  # a refuted row changes nothing
         if conflict.startswith("clash"):
             rnd = search._plan(*search._state(node, x))
@@ -143,20 +189,20 @@ def test_frontier_conflicts_fail_and_leave_the_state(monkeypatch):
             # the only conflict is injectivity: without it the row survives
             monkeypatch.setattr(search, "_taken", lambda owner, rows, images, at:
                                 np.zeros(len(rows), dtype=bool))
-            assert search._close_siblings(node, x, [v]) != [None], conflict
+            assert search._close_siblings([node], x, [[v]]) != [[None]], conflict
             monkeypatch.undo()
-        # a surviving sibling gives a new state, and the parent stays as it was
-        rows = search._close_siblings(node, x, search._candidates(node, x))
-        for row in filter(None, rows):
-            assert state(search._extend(node, row)) != before
+        # a surviving sibling is a new state, and the parent stays as it was
+        (kids,) = search._close_siblings([node], x, search._candidates([node], x))
+        for kid in filter(None, kids):
+            assert state(kid) != before
             assert state(node) == before
 
 
 def children(search, node):
     """The states below node, one per surviving candidate of its first free element."""
-    x = int(np.flatnonzero(node.img == -1)[0])
-    rows = search._close_siblings(node, x, search._candidates(node, x))
-    return [search._extend(node, row) for row in rows if row is not None]
+    x = int(np.flatnonzero(search._image(node) == -1)[0])
+    (kids,) = search._close_siblings([node], x, search._candidates([node], x))
+    return [kid for kid in kids if kid is not None]
 
 
 @pytest.mark.parametrize("kind", ["bijections", "derivations"])
@@ -164,11 +210,11 @@ def test_extend_leaves_the_parent_state_unchanged(kf3, kind):
     # at n = 3 a state also holds level-2 pairs
     search = make_search(kf3, kind, 3)
     node, steps = search.root, 0
-    while (node.img == -1).any():
+    while node.ts[0].size < search.size:
         before = state(node)
         below = children(search, node)
         assert state(node) == before
-        assert not any(a.flags.writeable for a in (node.img, *node.ts, *node.ss))
+        assert not any(a.flags.writeable for a in (*node.ts, *node.ss))
         if not below:
             break
         node, steps = below[-1], steps + 1
@@ -408,8 +454,8 @@ def test_plans_are_keyed_by_the_state(f3xf3):
     # must not serve the second
     search = make_search(f3xf3, "bijections", 2)
     on_empty = search._plan(*search._state(search.root, 1))
-    (row,) = search._close_siblings(search.root, 0, [0])
-    closure = search._state(search._extend(search.root, row), 1)
+    ((child,),) = search._close_siblings([search.root], 0, [[0]])
+    closure = search._state(child, 1)
     assert search._plan(*closure) is not on_empty
     assert search._plan(*closure).elements.tolist() == \
         search._build_plan(*closure).elements.tolist()
@@ -423,24 +469,22 @@ def assert_closures_match(search, rng):
     reference = oracles.reference_search(search)
     node, ref_node = search.root, reference.root
     while True:
-        x = int(np.flatnonzero(node.img == -1)[0])
-        vs = search._candidates(node, x)
-        assert vs == reference._candidates(ref_node, x)
-        rows = search._close_siblings(node, x, vs)
-        for row, ref_row in zip(rows, reference._close_siblings(ref_node, x, vs)):
-            if row is None:
-                assert ref_row is None
-            elif ref_row is None:  # the engine stops at a complete table
-                assert len(row[0][0]) == (node.img == -1).sum()
-        survivors = [(v, row) for v, row in zip(vs, rows) if row is not None]
+        x = int(np.flatnonzero(search._image(node) == -1)[0])
+        vs = search._candidates([node], x)
+        assert vs == reference._candidates([ref_node], x)
+        (kids,) = search._close_siblings([node], x, vs)
+        (ref_kids,) = reference._close_siblings([ref_node], x, vs)
+        for kid, ref_kid in zip(kids, ref_kids):
+            if kid is None:
+                assert ref_kid is None
+            elif ref_kid is None:  # the engine stops at a complete table
+                assert kid.ts[0].size == search.size
+        survivors = [pair for pair in zip(kids, ref_kids) if pair[0] is not None]
         if not survivors:
             return
-        v, row = survivors[rng.integers(len(survivors))]
-        node = search._extend(node, row)
-        if (node.img != -1).all():
+        node, ref_node = survivors[rng.integers(len(survivors))]
+        if node.ts[0].size == search.size:
             return
-        (ref_row,) = reference._close_siblings(ref_node, x, [v])
-        ref_node = reference._extend(ref_node, ref_row)
         for k in range(2, search.n):
             pairs, ref_pairs = (set(zip(n.ts[k - 1].tolist(), n.ss[k - 1].tolist()))
                                 for n in (node, ref_node))
@@ -466,8 +510,8 @@ def test_plans_are_keyed_by_every_level(kf3):
     search = make_search(kf3, "bijections", 3)
     node = search.root
     for x in (0, 1, 2):
-        rows = search._close_siblings(node, x, search._candidates(node, x))
-        node = search._extend(node, next(filter(None, rows)))
+        (kids,) = search._close_siblings([node], x, search._candidates([node], x))
+        node = next(filter(None, kids))
     ts, old = search._state(node, 3)
     assert len(set(ts[1].tolist())) > 1
     swapped = [ts[0], ts[1][::-1].copy()]
@@ -551,13 +595,14 @@ def test_degree_4_pair_lists_stay_bounded(kf3, kind, monkeypatch):
     # deduplicated, a level holds at most one pair per (t, s)
     search = make_search(kf3, kind, 4, budget=SearchBudget(max_nodes=150))
     peak = [0] * 3
-    extend = search._extend
+    close = search._close_siblings
 
-    def counting_extend(node, row):
-        child = extend(node, row)
-        peak[:] = map(max, peak, (t.size for t in child.ts))
-        return child
+    def counting_close(states, x, vs):
+        kids = close(states, x, vs)
+        for child in filter(None, sum(kids, [])):
+            peak[:] = map(max, peak, (t.size for t in child.ts))
+        return kids
 
-    monkeypatch.setattr(search, "_extend", counting_extend)
+    monkeypatch.setattr(search, "_close_siblings", counting_close)
     assert_same_run(search)
     assert max(peak[1:]) <= search.size**2

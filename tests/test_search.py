@@ -26,7 +26,7 @@ from jordankit import (
     peirce_decompose,
     prime_field,
 )
-from jordankit.linalg import invert, rref
+from jordankit.linalg import invert, mat_mul, rref
 
 import oracles
 from conftest import diagonal_product_algebra
@@ -589,6 +589,41 @@ def test_t2_counts_hold_under_a_general_change_of_basis(seed):
             tables = list(search)
             assert (len(tables), search.exhausted) == (count, True)
             assert all(is_additive(t).ok for t in tables)
+
+
+def isomorphism_onto_changed(a, P):
+    """changed(a, P) and the index table of the isomorphism onto it that
+    P gives: x stays the same element, with coordinates x P^-1."""
+    b = changed(a, P)
+    f = a.field
+    inverse = invert(f, [[f.from_int(c) for c in row] for row in P])
+    src, dst = carrier_of(a), carrier_of(b)
+    psi = [dst.index_of(b.element(mat_mul(f, [list(src.element_at(i).coords)], inverse)[0]))
+           for i in range(src.size)]
+    return b, psi
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name,dim", [("f5xf5", 2), ("kf3", 4)])
+def test_bijections_onto_a_changed_basis_are_the_isomorphism_after_each(name, dim, seed, kf3, f5):
+    # J -> P.J: the codomain carrier is ordered apart from the domain's, so
+    # each closure row takes its owners over another carrier than its
+    # values; the stream is psi after each J -> J bijection, in lex order,
+    # and psi keeps a witness additive or not
+    a = kf3 if name == "kf3" else diagonal_product_algebra(f5, 2)
+    b, psi = isomorphism_onto_changed(a, invertible(a.field.characteristic, dim, seed))
+    assert psi != sorted(psi)  # P reorders the carrier
+    search = enumerate_multiplicative_bijections(a, b, 2)
+    maps = list(search)
+    tables = table_set(maps)
+    assert search.exhausted and tables == sorted(set(tables))
+    own = list(enumerate_multiplicative_bijections(a, a, 2))
+    after = [tuple(psi[i] for i in t.index_table().tolist()) for t in own]
+    assert set(tables) == set(after)
+    nonadditive = {u for u, t in zip(tables, maps) if not is_additive(t).ok}
+    assert nonadditive == {u for u, t in zip(after, own) if not is_additive(t).ok}
+    assert len(tables) == {"kf3": 48, "f5xf5": 8}[name]
+    assert bool(nonadditive) == (name == "f5xf5")
 
 
 def test_f5xf5_cube_map_is_a_nonadditive_3_multiplicative_bijection():
