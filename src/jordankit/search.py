@@ -67,17 +67,20 @@ walk expands them together, as a sibling group: one prefilter over the
 rows (state, allowed value) and one closure over the rows (state,
 candidate), each row taking its assigned prefix and, for bijections,
 its owners from its own state. A group holds at most _GATHER_CHUNK // N
-rows; a state with more candidates is a group alone, so the candidates
-of one state are closed in one call and its children form a group
-again. The walk counts nodes and checks the budget where a plain DFS
-does, on entry to a state and after each of its candidates, refuted or
-not, and descends in the same order, so the stream, the node count and
-the budget state are those of a DFS that closes one node at a time. A
-group is closed when the walk reaches its first state: the closures of
-its later states are computed ahead of the walk and dropped if the
-budget stops it first. On K/F3 a bijection search makes 87 closure
-calls and a derivation search 48, at n = 2 and 3, where closing each
-node's candidates on their own took 221 and 128.
+rows; a state with more candidates is a group alone. The surviving
+children of every state in one closure call share their domain state
+again, so they form the next depth's groups together: the walk asks one
+look-ahead per closure call, shared by its states, for the children of
+each in turn. The walk counts nodes and checks the budget where a plain
+DFS does, on entry to a state and after each of its candidates, refuted
+or not, and descends in the same order, so the stream, the node count
+and the budget state are those of a DFS that closes one node at a time.
+A group is closed when the walk reaches its first state, so the walk
+holds at most one group closed ahead at each depth, and those closures
+are dropped if the budget stops it first. On K/F3, at n = 2 and 3, each
+depth is one group: a bijection search makes 6 closure calls and 6
+prefilter calls, and a derivation search 6 and 5, for 556 and 369
+nodes.
 
 For n >= 3 a state also holds the t of the pairs at each level >= 2;
 s is per row. A new pair that repeats an earlier one, the same t and row
@@ -119,7 +122,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Algebra
-from .carrier import carrier_of
+from .carrier import carrier_of, index_dtype
 from .errors import CarrierSizeMismatch
 from .maps import (
     DerivationTable,
@@ -152,15 +155,19 @@ class SearchBudget:
             raise ValueError(f"max_witnesses must be >= 0, got {self.max_witnesses}")
 
 
-# Products of one gather evaluated at once, counted over all candidate rows.
-# Bounds the temporaries of a rule call where many candidates meet many
-# products (n >= 3 on large carriers); the rows' values themselves, one
-# per pair, and for bijections one owner per codomain element, are not
-# chunked. It also bounds a sibling group to _GATHER_CHUNK // N rows, so
-# that its values and owners, up to N a row, stay within it: a closure
-# call holds that many rows unless one state's candidates are more, and a
-# prefilter chunk that many or one state's allowed values.
-_GATHER_CHUNK = 1 << 18
+# Values of one gather evaluated at once, counted over all candidate rows:
+# a rule call's intp temporaries hold about that many entries, 256 KiB
+# each. The rows' values themselves, one per pair and stored in the
+# carrier's index dtype, and for bijections one owner per codomain
+# element, are not chunked. It also bounds a sibling group to
+# _GATHER_CHUNK // N rows, so that its values and owners, up to N a row,
+# stay within it: a closure call holds that many rows unless one state's
+# candidates are more, and a prefilter chunk that many or one state's
+# allowed values. Since a group spans a whole closure call's children,
+# groups are often full; at 1 << 18 their rule temporaries took a K/F5
+# n = 2 search's traced peak from 1.6 to 5.5-6.2 MiB, and at 1 << 15 it
+# stays near 1.6 MiB with a K/F3 depth still one group.
+_GATHER_CHUNK = 1 << 15
 
 
 @dataclass
@@ -341,8 +348,11 @@ class _State:
     ts[i] and ss[i] are the t and s of the level-(i + 1) pairs in the
     order rounds added them; level 1 is the assignment, so ts[0] holds the
     assigned elements and ss[0] their images. The children of one closure
-    share ts, and each child's ss are its rows of the closure's value
-    matrices, so a child that is not yet searched costs only its rows.
+    call share ts, and each child's ss are its rows of the closure's value
+    matrices, in the codomain's index dtype, so a child that is not yet
+    searched costs only its rows. A child keeps all of its closure's
+    matrices alive, and the walk's look-ahead holds one closure's
+    children at each depth.
     """
 
     ts: tuple
@@ -557,7 +567,8 @@ class _TableSearch:
             owner[live[:, None], prefix[0][sib]] = np.arange(old[0], dtype=owner.dtype)
             live = live[~self._taken(owner, live, cand[:, None], old[0])]
         rows = sib[live]
-        vals = [np.empty((live.size, old[0] + 1), dtype=np.int64), *(p[rows] for p in prefix[1:])]
+        dtype = index_dtype(self.cod.size)
+        vals = [np.empty((live.size, old[0] + 1), dtype=dtype), *(p[rows] for p in prefix[1:])]
         vals[0][:, :old[0]] = prefix[0][rows]
         vals[0][:, old[0]] = cand[live]
         keys = [None, *(t.tobytes() for t in ts[1:])]
@@ -567,14 +578,14 @@ class _TableSearch:
                 keys[0] = ts[0].tobytes()
             for i in range(top):
                 low, above = self._lower(i, ts, old, keys), old[i + 1]
-                s = np.empty((live.size, low.t.size), dtype=np.int64)
+                s = np.empty((live.size, low.t.size), dtype=dtype)
                 s[:, :above] = vals[i + 1]
                 for j, cols in _chunks(low.cols, step):
                     s[:, above + j:above + j + len(cols)] = self._targets(cols, vals, i)
                 ts[i + 1], vals[i + 1] = low.distinct(s, above)
                 keys[i + 1] = ts[i + 1].tobytes()
             rnd = self._plan(ts, old)
-            ext = np.empty((live.size, ts[0].size + rnd.elements.size), dtype=np.int64)
+            ext = np.empty((live.size, ts[0].size + rnd.elements.size), dtype=dtype)
             ext[:, :ts[0].size] = vals[0]
             vals[0], images = ext, ext[:, ts[0].size:]
             dead = np.zeros(live.size, dtype=bool)
@@ -660,21 +671,23 @@ class _TableSearch:
         return False
 
     def _ahead(self, states: list):
-        """The children of each sibling state in turn, or None for a leaf.
+        """(children, later) for each sibling state in turn; children is None for a leaf.
 
         The states are the children of one closure call, so they share ts
         and with it x, the prefilter's products and the plans. One
         prefilter runs over all of them, then one closure for each group
         of states whose candidates make at most _GATHER_CHUNK // N rows; a
-        state with more is a group alone. A state's candidates are closed
-        in one call, so its children are siblings in the same sense. This
-        is a generator: each group is closed when the walk asks for the
-        children of its first state, and a budget stop drops the closures
-        of later states that the group computed ahead.
+        state with more is a group alone. The children of one closure
+        call are siblings in the same sense, so later is one _ahead over
+        all of them, in order, shared by the states of the group. This is
+        a generator, and so is later: each group is closed when the walk
+        asks for the children of its first state, so the walk holds at
+        most one group's closure ahead per depth, and a budget stop drops
+        the closures that group computed for later states.
         """
         ts = states[0].ts
         if ts[0].size == self.size:
-            yield from [None] * len(states)
+            yield from [(None, None)] * len(states)
             return
         free = np.ones(self.size, dtype=bool)
         free[ts[0]] = False
@@ -685,30 +698,32 @@ class _TableSearch:
             b, rows = a + 1, len(vs[a])
             while b < len(states) and rows + len(vs[b]) <= self._group_rows:
                 rows, b = rows + len(vs[b]), b + 1
-            if rows:
-                yield from self._close_siblings(states[a:b], x, vs[a:b])
-            else:  # the prefilter refuted every candidate
-                yield from vs[a:b]
+            # a group whose candidates the prefilter all refuted closes nothing
+            kids = self._close_siblings(states[a:b], x, vs[a:b]) if rows else vs[a:b]
+            later = self._ahead([kid for row in kids for kid in row if kid is not None])
+            for row in kids:
+                yield row, later
             a = b
 
-    def _visit(self, state: _State, below):
-        """The tables below state; next(below) gives state's children.
+    def _visit(self, state: _State, ahead):
+        """The tables below state; next(ahead) gives (state's children, later),
+        where later gives the children's own.
 
         The node count and the budget checks are those of a plain DFS: on
         entry to a state and after each of its candidates, counted whether
-        the closure kept it or not.
+        the closure kept it or not. The children are visited in the order
+        later lists them, so each asks it for its own.
         """
         if self._over_budget():
             self.budget_exceeded = True
             return
-        kids = next(below)
+        kids, later = next(ahead)
         if kids is None:
             table = self._emit(self._image(state))
             if self._verify(table):
                 self.witnesses_emitted += 1
                 yield table
             return
-        later = self._ahead([kid for kid in kids if kid is not None])
         for kid in kids:
             self.nodes += 1
             if kid is not None:

@@ -100,23 +100,62 @@ def test_node_budget_trips_on_entry_to_a_surviving_child(kf3, kind, n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("kind,calls", [("bijections", 87), ("derivations", 48)])
-def test_closure_count_per_sibling_group(kf3, kind, n, calls, monkeypatch):
-    # the surviving children of a node are closed in one call: closing each
-    # node's candidates on their own took 221 and 128 calls (d(0) = 0
-    # seeding included); a group whose candidates the prefilter all
-    # refutes makes no call
-    count = [0]
-    close = search_module._TableSearch._close_siblings
+@pytest.mark.parametrize("kind,calls,prefilters", [("bijections", 6, 6), ("derivations", 6, 5)])
+def test_closure_count_per_sibling_group(kf3, kind, n, calls, prefilters, monkeypatch):
+    # the surviving children of one closure call are prefiltered and
+    # closed together: closing each node's candidates on their own took
+    # 221 and 128 closure calls (d(0) = 0 seeding included), and each
+    # state's children together 87 and 48, with 100 and 47 prefilter
+    # calls; a group whose candidates the prefilter all refutes makes no
+    # closure call
+    count = {"_close_siblings": 0, "_candidates": 0}
+    for name in count:
+        hook = getattr(search_module._TableSearch, name)
 
-    def counting(*args):
-        count[0] += 1
-        return close(*args)
+        def counting(*args, name=name, hook=hook):
+            count[name] += 1
+            return hook(*args)
 
-    monkeypatch.setattr(search_module._TableSearch, "_close_siblings", counting)
+        monkeypatch.setattr(search_module._TableSearch, name, counting)
     tables, nodes, _, _ = run(make_search(kf3, kind, n))
     assert (len(tables), nodes) == {"bijections": (48, 556), "derivations": (27, 369)}[kind]
-    assert count[0] == calls
+    assert (count["_close_siblings"], count["_candidates"]) == (calls, prefilters)
+
+
+@pytest.mark.parametrize("rows", [None, 16])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["bijections", "derivations"])
+def test_look_ahead_is_one_group_per_depth(kf3, kind, n, rows, monkeypatch):
+    # the walk closes a group when it reaches the group's first state, so
+    # up to the first table it closes at most one group at each depth on
+    # the way down; a walk that closed whole levels first would not stop
+    # there. A K/F3 level is one group unless groups are cut to a few rows
+    if rows:
+        monkeypatch.setattr(search_module, "_GATHER_CHUNK", rows * carrier_of(kf3).size)
+    first = run(make_search(kf3, kind, n))[0][:1]
+    search = make_search(kf3, kind, n, budget=SearchBudget(max_witnesses=1))
+    depth = {id(search.root): 0}
+    kept, depths = [], []
+    close = search._close_siblings
+
+    def tracking(states, x, vs):
+        kids = close(states, x, vs)
+        d = depth[id(states[0])]
+        depths.append(d)
+        for kid in filter(None, sum(kids, [])):
+            kept.append(kid)  # holds each id to its state
+            depth[id(kid)] = d + 1
+        return kids
+
+    monkeypatch.setattr(search, "_close_siblings", tracking)
+    stream = iter(search)
+    tables = [tuple(next(stream).index_table().tolist())]
+    before = list(depths)
+    tables += run_tables(stream)
+    assert sorted(set(before)) == before
+    assert tables == first and search.budget_exceeded and not search.exhausted
+    got = (tables, search.nodes, search.exhausted, search.budget_exceeded)
+    assert got == run(oracles.reference_search(search))
 
 
 @pytest.mark.parametrize("kind", ["bijections", "derivations"])
@@ -372,23 +411,45 @@ def test_kf3_plans_match_the_full_gather(kf3, kind, n):
     assert set(assert_plans_match_full_gather(search)) == {False, True}
 
 
+def traced_run(search):
+    """The number of tables search yields, and the peak of memory traced meanwhile.
+
+    The tables are counted, not kept: as tuples they would take 3.6 MiB
+    on K/F5.
+    """
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in search)
+        return count, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind,tables,nodes", [("derivations", 125, 4025),
                                                ("bijections", 240, 7376)])
 def test_search_peak_memory(kf5, kind, tables, nodes):
     # the last plans of a K/F5 search are cut after 15 040 of their
     # 160 820 top-level products, one per unordered pair; laying out the
-    # 321 200 of both orders whole peaked at 9.2 MiB.
-    # The tables are counted, not kept: as tuples they would take 3.6 MiB
+    # 321 200 of both orders whole peaked at 9.2 MiB
     carrier_of(kf5).mul
     search = make_search(kf5, kind, 2)
-    tracemalloc.start()
-    try:
-        count = sum(1 for _ in search)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    count, peak = traced_run(search)
     assert (count, search.nodes, search.exhausted) == (tables, nodes, True)
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("kind,tables,nodes", [("derivations", 27, 369),
+                                               ("bijections", 48, 556)])
+def test_degree_3_look_ahead_peak_memory(kf3, kind, tables, nodes):
+    # each depth of a K/F3 search is one group, whose closure holds its
+    # value matrices in uint8 and evaluates the rule on at most
+    # _GATHER_CHUNK values at a time: 0.9 MiB, where int64 values read
+    # 1.55-2.3 MiB
+    carrier_of(kf3).mul
+    search = make_search(kf3, kind, 3)
+    count, peak = traced_run(search)
+    assert (count, search.nodes, search.exhausted) == (tables, nodes, True)
+    assert peak < 1.25 * 2**20
 
 
 @pytest.mark.parametrize("n,plans", [(2, 12), (3, 9)])
